@@ -28,7 +28,6 @@
 #include "graph/graph_file.h"
 #include "graph/graph_view.h"
 #include "graph/weights.h"
-#include "service/checkpoint.h"
 
 using namespace imbench;
 

@@ -137,24 +137,6 @@ void BM_FusedBlockLt(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedBlockLt);
 
-// Fused RR generation: one iteration produces 64 RR sets.
-void BM_FusedRrBlockIcWc(benchmark::State& state) {
-  const Graph& graph = WcGraph();
-  FusedRrContext context(graph);
-  std::vector<NodeId> members;
-  std::vector<uint32_t> sizes;
-  uint64_t first = 0;
-  for (auto _ : state) {
-    members.clear();
-    sizes.clear();
-    context.GenerateRange(5, first, kFusedLanes, members, sizes, nullptr);
-    first += kFusedLanes;
-    benchmark::DoNotOptimize(members.data());
-  }
-  state.SetItemsProcessed(state.iterations() * kFusedLanes);
-}
-BENCHMARK(BM_FusedRrBlockIcWc);
-
 void BM_RrSetIcWc(benchmark::State& state) {
   const Graph& graph = WcGraph();
   RrSampler sampler(graph, DiffusionKind::kIndependentCascade);

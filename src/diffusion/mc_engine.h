@@ -1,11 +1,11 @@
-// Selectable Monte-Carlo diffusion engines for spread estimation and
-// batched RR-set generation. kScalar runs one cascade at a time
-// (diffusion/cascade.h); kFused64 packs 64 simulations into one uint64_t
-// lane word per node and expands all frontiers with word operations
-// (diffusion/fused_cascade.h). kAuto picks fused when the workload is
-// block-shaped (>= 64 simulations, no live-Rng streaming) and scalar
-// otherwise; both resolutions are deterministic in the options alone, so
-// auto-dispatch never makes a result depend on the machine it ran on.
+// Selectable Monte-Carlo diffusion engines for spread estimation. kScalar
+// runs one cascade at a time (diffusion/cascade.h); kFused64 packs 64
+// simulations into one uint64_t lane word per node and expands all
+// frontiers with word operations (diffusion/fused_cascade.h). kAuto picks
+// fused when the workload is block-shaped (>= 64 simulations, no live-Rng
+// streaming) and scalar otherwise; both resolutions are deterministic in
+// the options alone, so auto-dispatch never makes a result depend on the
+// machine it ran on.
 #ifndef IMBENCH_DIFFUSION_MC_ENGINE_H_
 #define IMBENCH_DIFFUSION_MC_ENGINE_H_
 

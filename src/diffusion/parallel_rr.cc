@@ -14,9 +14,7 @@ ParallelRrSampler::ParallelRrSampler(const GraphView& graph,
     : graph_(graph),
       options_(options),
       pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()),
-      lanes_(EffectiveThreads(options.threads)),
-      use_fused_(options.engine == McEngine::kFused64 &&
-                 options.kind == DiffusionKind::kIndependentCascade) {}
+      lanes_(EffectiveThreads(options.threads)) {}
 
 ParallelRrSampler::~ParallelRrSampler() = default;
 
@@ -71,32 +69,6 @@ RrBatchResult ParallelRrSampler::Generate(uint64_t seed, uint64_t count,
           Batch& batch = batches_[b];
           const uint64_t first = wave_base + b * kBatchSets;
           const uint64_t n = std::min<uint64_t>(kBatchSets, index_end - first);
-          if (use_fused_) {
-            // Fused batches are all-or-nothing: guard/abort/fault are
-            // polled once up front, then the kernel emits the whole batch
-            // (one 64-lane block when the stream cursor is aligned; set i
-            // is the same pure function of (seed, i) either way). A trip
-            // leaves the batch incomplete and the merge truncates there,
-            // so the corpus stays a prefix of the fused sequence.
-            if (stop_state.aborted()) return;
-            if (ls.guard.ShouldStop()) {
-              stop_state.Trip(ls.guard.reason());
-              return;
-            }
-            StopReason injected = StopReason::kNone;
-            if (FaultFire(faultsite::kSamplerLane, &injected)) {
-              stop_state.Trip(injected);
-              return;
-            }
-            if (ls.fused == nullptr) {
-              ls.fused = std::make_unique<FusedRrContext>(graph_);
-            }
-            ls.fused->GenerateRange(seed, first, static_cast<uint32_t>(n),
-                                    batch.members, batch.sizes,
-                                    &batch.widths);
-            batch.complete = true;
-            return;
-          }
           for (uint64_t j = 0; j < n; ++j) {
             if (stop_state.aborted()) return;
             if (ls.guard.ShouldStop()) {

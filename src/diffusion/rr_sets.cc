@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "diffusion/fused_cascade.h"
 #include "diffusion/parallel_rr.h"
 #include "framework/fault.h"
 #include "framework/run_guard.h"
@@ -33,13 +32,7 @@ RrSampler::RrSampler(const GraphView& graph, const SamplerOptions& options)
       kind_(options.kind),
       guard_(options.guard),
       trace_(options.trace),
-      max_total_entries_(options.max_total_entries),
-      // kAuto stays scalar for RR generation; the fused kernel is opt-in
-      // and IC-only (see SamplerOptions::engine).
-      use_fused_(options.engine == McEngine::kFused64 &&
-                 options.kind == DiffusionKind::kIndependentCascade) {}
-
-RrSampler::~RrSampler() = default;
+      max_total_entries_(options.max_total_entries) {}
 
 uint64_t RrSampler::Generate(Rng& rng, std::vector<NodeId>& out) {
   return GenerateFromRoot(rng.NextU32(graph_.num_nodes()), rng, out);
@@ -84,7 +77,6 @@ uint64_t RrSampler::GenerateStreamInto(uint64_t seed, uint64_t index,
 RrBatchResult RrSampler::Generate(uint64_t seed, uint64_t count,
                                   RrCollection& out,
                                   std::vector<uint64_t>* widths) {
-  if (use_fused_) return GenerateFused(seed, count, out, widths);
   RrBatchResult result;
   std::vector<NodeId> scratch;
   uint64_t edges_examined = 0;
@@ -137,67 +129,6 @@ RrBatchResult RrSampler::Generate(uint64_t seed, uint64_t count,
   // stays thread-count invariant.
   TraceAdd(trace_, TraceCounter::kNeighborBlocksDecoded,
            std::exchange(scratch_.blocks_decoded, 0));
-  return result;
-}
-
-RrBatchResult RrSampler::GenerateFused(uint64_t seed, uint64_t count,
-                                       RrCollection& out,
-                                       std::vector<uint64_t>* widths) {
-  RrBatchResult result;
-  if (fused_ == nullptr) fused_ = std::make_unique<FusedRrContext>(graph_);
-  uint64_t edges_examined = 0;
-  while (result.generated < count) {
-    if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) break;
-    if (GuardShouldStop(guard_)) {
-      result.stop = guard_->reason();
-      break;
-    }
-    // Fault site: the same simulated-OOM hook as the scalar loop, fired
-    // once per chunk (the fused unit of work). The stream cursor stays on
-    // the first ungenerated index, so a retry regenerates exactly the
-    // missing tail.
-    StopReason injected = StopReason::kNone;
-    if (FaultFire(faultsite::kRrArenaGrow, &injected)) {
-      result.stop = injected;
-      if (!IsTransientStop(injected) && guard_ != nullptr) {
-        guard_->Trip(injected);
-      }
-      break;
-    }
-    // A chunk never crosses a 64-lane block boundary, so the entry-cap
-    // resolution below buffers at most one kernel pass.
-    const uint64_t chunk = std::min<uint64_t>(
-        count - result.generated, kFusedLanes - next_index_ % kFusedLanes);
-    fused_members_.clear();
-    fused_sizes_.clear();
-    fused_widths_.clear();
-    fused_->GenerateRange(seed, next_index_, static_cast<uint32_t>(chunk),
-                          fused_members_, fused_sizes_, &fused_widths_);
-    size_t offset = 0;
-    bool cap_hit = false;
-    for (size_t i = 0; i < fused_sizes_.size(); ++i) {
-      out.AppendSet(std::span<const NodeId>(fused_members_.data() + offset,
-                                            fused_sizes_[i]));
-      offset += fused_sizes_[i];
-      if (widths != nullptr) widths->push_back(fused_widths_[i]);
-      edges_examined += fused_widths_[i];
-      ++next_index_;
-      ++result.generated;
-      // Add-then-check, exactly like the scalar engine: the crossing set
-      // is kept, the rest of the chunk is dropped (the cursor has not
-      // advanced past the kept prefix, so nothing is lost).
-      if (max_total_entries_ != 0 && out.TotalEntries() > max_total_entries_) {
-        result.stop = StopReason::kMemory;
-        cap_hit = true;
-        break;
-      }
-    }
-    if (cap_hit) break;
-  }
-  if (result.stop == StopReason::kNone && GuardStopped(guard_)) {
-    result.stop = guard_->reason();
-  }
-  TraceAdd(trace_, TraceCounter::kRrEdgesExamined, edges_examined);
   return result;
 }
 

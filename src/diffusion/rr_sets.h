@@ -29,13 +29,11 @@
 #include "common/rng.h"
 #include "common/run_options.h"
 #include "diffusion/cascade.h"
-#include "diffusion/mc_engine.h"
 #include "framework/run_guard.h"
 #include "graph/graph_view.h"
 
 namespace imbench {
 
-class FusedRrContext;
 class ThreadPool;
 class Trace;
 
@@ -60,14 +58,6 @@ class Trace;
 //     every Generate() call, because one engine may serve several corpora.
 struct SamplerOptions : CommonRunOptions {
   DiffusionKind kind = DiffusionKind::kIndependentCascade;
-  // MC kernel for batched set generation. kAuto resolves to the scalar
-  // sampler: RR corpora feed the query service's single-set repair path,
-  // which has no fused equivalent, so the bit-parallel kernel is strictly
-  // opt-in here. kFused64 draws 64 consecutive stream indices per pass
-  // (IC only; LT falls back to scalar). Either engine is deterministic and
-  // thread-invariant on its own, but the two draw different coin streams,
-  // so a fused corpus is not byte-identical to a scalar one.
-  McEngine engine = McEngine::kAuto;
   // Cap on total node entries across the sets appended to one collection
   // (0 = unlimited). Crossing it stops generation with StopReason::kMemory
   // — the safety valve behind the paper's "Crashed" cells.
@@ -115,11 +105,8 @@ class RrSampler : public RrEngine {
   RrSampler(const GraphView& graph, DiffusionKind kind,
             RunGuard* guard = nullptr);
   // SamplerOptions constructor; `threads` and `pool` are ignored (this is
-  // the one-thread engine). `engine` selects the batched-generation kernel
-  // (see SamplerOptions); the single-set entry points below are always
-  // scalar.
+  // the one-thread engine).
   RrSampler(const GraphView& graph, const SamplerOptions& options);
-  ~RrSampler() override;
 
   // Samples an RR set rooted at a uniform random node; appends its members
   // (root included) to `out` (cleared first). Returns the number of edges
@@ -168,14 +155,6 @@ class RrSampler : public RrEngine {
   uint64_t GenerateLt(NodeId root, Rng& rng, std::vector<NodeId>& out,
                       size_t base);
 
-  // Batched generation through the bit-parallel kernel: 64 consecutive
-  // stream indices per pass, chunked so no pass crosses a lane-block
-  // boundary. Guard/abort/fault are polled once per chunk (the fused unit
-  // of work), so a trip truncates the corpus on a chunk boundary — still a
-  // prefix of the fused engine's deterministic sequence.
-  RrBatchResult GenerateFused(uint64_t seed, uint64_t count, RrCollection& out,
-                              std::vector<uint64_t>* widths);
-
   // Allocates the visited-stamp array on first use. Deferred so a lane
   // sampler's stamp pages are first touched by the worker that will run
   // it (first-touch NUMA placement under the pinned pool).
@@ -195,13 +174,6 @@ class RrSampler : public RrEngine {
   uint32_t epoch_ = 0;
   std::vector<uint32_t> visited_stamp_;  // lazily sized (EnsureStamps)
   AdjScratch scratch_;  // compact-backend in-adjacency decode buffer
-  // Fused-path state: lazily constructed kernel scratch plus reusable
-  // chunk buffers (cleared per chunk, never reallocated at steady state).
-  bool use_fused_ = false;
-  std::unique_ptr<FusedRrContext> fused_;
-  std::vector<NodeId> fused_members_;
-  std::vector<uint32_t> fused_sizes_;
-  std::vector<uint64_t> fused_widths_;
 };
 
 // Picks the engine for the requested thread count: the sequential

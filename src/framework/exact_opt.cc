@@ -6,6 +6,7 @@
 #include <functional>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "framework/trace.h"
 
@@ -30,11 +31,13 @@ struct LiveEdge {
   NodeId target = 0;
 };
 
+// FNV-1a constants, mixed a word at a time: the hash only picks a bucket,
+// and every bucket hit is confirmed with memcmp.
 uint64_t HashClosure(const uint64_t* closure, NodeId n) {
-  uint64_t h = 1469598103934665603ull;  // FNV-1a offset basis
+  uint64_t h = kFnvBasis;
   for (NodeId v = 0; v < n; ++v) {
     h ^= closure[v];
-    h *= 1099511628211ull;
+    h *= kFnvPrime;
   }
   return h;
 }

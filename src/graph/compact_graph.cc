@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "framework/fault.h"
 #include "framework/trace.h"
 
@@ -18,9 +19,7 @@ namespace imbench {
 namespace {
 
 using imgrf::DecodeVarint;
-using imgrf::Fnv1a;
 using imgrf::kBlockSize;
-using imgrf::kFnvBasis;
 
 GraphFileStatus Refuse(GraphFileStatus status, std::string* error,
                        const std::string& message) {
@@ -185,6 +184,12 @@ GraphFileStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
   if (model_raw > static_cast<uint32_t>(WeightModel::kLtParallel)) {
     return refuse_mapped(GraphFileStatus::kCorrupt, "unknown weight model tag");
   }
+  // Every edge owns an 8-byte weight, so a larger count cannot fit the file;
+  // refusing it first keeps the size products below from wrapping.
+  if (num_edges > file_size / 8) {
+    return refuse_mapped(GraphFileStatus::kCorrupt,
+                         "edge count exceeds the file size");
+  }
 
   // Section sanity: bounds within the file, 8-byte alignment for the typed
   // arrays, and sizes consistent with the header counts.
@@ -204,7 +209,8 @@ GraphFileStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
     if (section_size[s] == 0) continue;
     if (section_offset[s] % 8 != 0 ||
         section_offset[s] < imgrf::kHeaderBytes ||
-        section_offset[s] + section_size[s] > file_size) {
+        section_size[s] > file_size ||
+        section_offset[s] > file_size - section_size[s]) {
       return refuse_mapped(GraphFileStatus::kCorrupt,
                            "section table out of bounds");
     }

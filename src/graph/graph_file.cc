@@ -10,6 +10,7 @@
 #include <cstring>
 
 #include "common/check.h"
+#include "common/hash.h"
 #include "common/rng.h"
 
 namespace imbench {
@@ -33,15 +34,12 @@ const char* GraphFileStatusName(GraphFileStatus status) {
 namespace {
 
 using imgrf::AppendVarint;
-using imgrf::Fnv1a;
 using imgrf::kBlockSize;
-using imgrf::kFnvBasis;
 
 uint64_t Align8(uint64_t x) { return (x + 7) & ~uint64_t{7}; }
 
-// Streamed GraphFingerprint(): byte-identical to the checkpoint digest in
-// service/checkpoint.cc (pinned by tests/compact_graph_test.cc) but fed
-// node by node, so the streaming writer never needs the whole CSR.
+// GraphFingerprint() fed node by node, so the streaming writer never needs
+// the whole CSR.
 class FingerprintAcc {
  public:
   void Begin(NodeId num_nodes, uint64_t num_edges) {
@@ -177,6 +175,22 @@ bool CopyInto(std::FILE* file, FileOut& out, uint64_t* checksum) {
 
 }  // namespace
 
+uint64_t GraphFingerprint(const Graph& graph) {
+  FingerprintAcc fingerprint;
+  fingerprint.Begin(graph.num_nodes(), graph.num_edges());
+  std::vector<uint32_t> mults;
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    const std::span<const NodeId> targets = graph.OutTargets(u);
+    const EdgeId base = graph.OutEdgeBase(u);
+    mults.resize(targets.size());
+    for (size_t i = 0; i < targets.size(); ++i) {
+      mults[i] = graph.EdgeMultiplicity(base + i);
+    }
+    fingerprint.Node(targets, graph.OutWeights(u), mults);
+  }
+  return fingerprint.Digest();
+}
+
 bool WriteGraphFile(const Graph& graph, WeightModel model,
                     const std::string& path, std::string* error) {
   const NodeId n = graph.num_nodes();
@@ -190,21 +204,11 @@ bool WriteGraphFile(const Graph& graph, WeightModel model,
   std::vector<uint8_t> in_blocks;
   std::vector<uint32_t> mults;
   std::vector<uint32_t> ranks;
-  FingerprintAcc fingerprint;
-  fingerprint.Begin(n, m);
-
-  std::vector<uint32_t> node_mults;
   for (NodeId u = 0; u < n; ++u) {
     const auto targets = graph.OutTargets(u);
     out_edge_offsets[u + 1] = out_edge_offsets[u] + targets.size();
     EncodeOutBlocks(targets, out_blocks);
     out_byte_offsets[u + 1] = out_blocks.size();
-    node_mults.resize(targets.size());
-    const EdgeId base = graph.OutEdgeBase(u);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      node_mults[i] = graph.EdgeMultiplicity(base + i);
-    }
-    fingerprint.Node(targets, graph.OutWeights(u), node_mults);
   }
   if (graph.has_parallel_arcs()) {
     mults.resize(m);
@@ -250,7 +254,7 @@ bool WriteGraphFile(const Graph& graph, WeightModel model,
   const std::vector<uint8_t> header =
       BuildHeader(model, n, m,
                   graph.has_parallel_arcs() ? imgrf::kFlagHasMultiplicities : 0,
-                  fingerprint.Digest(), sections, payload_checksum);
+                  GraphFingerprint(graph), sections, payload_checksum);
 
   FileOut out;
   out.f = std::fopen(path.c_str(), "wb");

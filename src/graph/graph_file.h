@@ -27,8 +27,8 @@
 // gather, and an aligned mmap'd lane keeps that gather one load.
 //
 // Integrity: dual FNV-1a checksums (header, payload) exactly like
-// service/checkpoint.cc, plus the same GraphFingerprint() digest of the
-// full topology and weights, so a torn, truncated or foreign file is
+// service/checkpoint.cc, plus the GraphFingerprint() digest of the full
+// topology and weights, so a torn, truncated or foreign file is
 // refused at open and a checkpointed RR corpus can be validated against a
 // graph file without rebuilding the heap CSR.
 #ifndef IMBENCH_GRAPH_GRAPH_FILE_H_
@@ -81,17 +81,6 @@ enum Section : int {
 inline constexpr size_t kHeaderBytes =
     8 + 4 + 4 + 4 + 4 + 8 + 8 + kNumSections * 16 + 8 + 8;
 
-inline constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
-
-inline uint64_t Fnv1a(const void* data, size_t size, uint64_t h) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < size; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 // LEB128 append/decode. Values are unsigned: adjacency deltas are >= 1 and
 // ranks are >= 0, so no zigzag is needed.
 inline void AppendVarint(std::vector<uint8_t>& out, uint64_t v) {
@@ -119,6 +108,13 @@ inline const uint8_t* DecodeVarint(const uint8_t* p, uint64_t* v) {
 }
 
 }  // namespace imgrf
+
+// Order-sensitive FNV-1a digest of the graph's topology and weights
+// (node count, arc counts, targets, weight bit patterns, multiplicities).
+// Two graphs with equal fingerprints are the same sampling substrate: RR
+// streams drawn on them are identical. Every `.imgrf` header stores the
+// fingerprint of its graph, and corpus checkpoints bind to it.
+uint64_t GraphFingerprint(const Graph& graph);
 
 // Writes `graph` (weights already assigned) to `path` as `.imgrf`, recording
 // `model` as the file's weight-model tag. The embedded fingerprint equals

@@ -89,14 +89,11 @@ class GraphView {
     return scratch.edge_ids;
   }
 
-  // Positional bases for per-edge-indexed side arrays (fused coin masks,
+  // Positional base for per-edge-indexed side arrays (fused coin masks,
   // fixed-point probability lanes): the forward edge id of u's first
-  // out-edge / the in-position of v's first in-edge.
+  // out-edge.
   EdgeId OutEdgeBase(NodeId u) const {
     return mem_ != nullptr ? mem_->OutEdgeBase(u) : compact_->OutEdgeBase(u);
-  }
-  EdgeId InEdgeBase(NodeId v) const {
-    return mem_ != nullptr ? mem_->InEdgeBase(v) : compact_->InEdgeBase(v);
   }
 
   // All edge weights by forward edge id — a flat contiguous lane on both

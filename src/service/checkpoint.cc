@@ -4,6 +4,7 @@
 #include <cstring>
 #include <vector>
 
+#include "common/hash.h"
 #include "framework/fault.h"
 
 namespace imbench {
@@ -12,15 +13,6 @@ namespace {
 
 constexpr char kMagic[8] = {'I', 'M', 'C', 'K', 'P', 'T', '0', '1'};
 constexpr uint32_t kVersion = 1;
-
-uint64_t Fnv1a(const uint8_t* data, size_t size, uint64_t h) {
-  for (size_t i = 0; i < size; ++i) {
-    h ^= data[i];
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-constexpr uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
 
 // Header byte buffer with primitive appends; the checksum is computed over
 // the accumulated bytes, so the layout is defined by the append order in
@@ -84,42 +76,15 @@ const char* CheckpointStatusName(CheckpointStatus status) {
   return "?";
 }
 
-uint64_t GraphFingerprint(const Graph& graph) {
-  uint64_t h = kFnvBasis;
-  const NodeId n = graph.num_nodes();
-  const uint64_t m = graph.num_edges();
-  h = Fnv1a(reinterpret_cast<const uint8_t*>(&n), sizeof n, h);
-  h = Fnv1a(reinterpret_cast<const uint8_t*>(&m), sizeof m, h);
-  EdgeId id = 0;
-  for (NodeId u = 0; u < n; ++u) {
-    const std::span<const NodeId> targets = graph.OutTargets(u);
-    const std::span<const double> weights = graph.OutWeights(u);
-    const uint32_t degree = static_cast<uint32_t>(targets.size());
-    h = Fnv1a(reinterpret_cast<const uint8_t*>(&degree), sizeof degree, h);
-    h = Fnv1a(reinterpret_cast<const uint8_t*>(targets.data()),
-              targets.size_bytes(), h);
-    h = Fnv1a(reinterpret_cast<const uint8_t*>(weights.data()),
-              weights.size_bytes(), h);
-    for (size_t i = 0; i < targets.size(); ++i, ++id) {
-      const uint32_t mult = graph.EdgeMultiplicity(id);
-      h = Fnv1a(reinterpret_cast<const uint8_t*>(&mult), sizeof mult, h);
-    }
-  }
-  return h;
-}
-
 bool SaveCorpusCheckpoint(const std::string& path, const CheckpointMeta& meta,
                           const RrCollection& corpus, std::string* error) {
   const std::span<const uint64_t> offsets = corpus.OffsetsArena();
   const std::span<const NodeId> members = corpus.MembersArena();
 
-  uint64_t payload_checksum = kFnvBasis;
+  uint64_t payload_checksum =
+      Fnv1a(offsets.data(), offsets.size_bytes(), kFnvBasis);
   payload_checksum =
-      Fnv1a(reinterpret_cast<const uint8_t*>(offsets.data()),
-            offsets.size_bytes(), payload_checksum);
-  payload_checksum =
-      Fnv1a(reinterpret_cast<const uint8_t*>(members.data()),
-            members.size_bytes(), payload_checksum);
+      Fnv1a(members.data(), members.size_bytes(), payload_checksum);
 
   ByteWriter header;
   header.Raw(kMagic, sizeof kMagic);
@@ -234,9 +199,17 @@ CheckpointStatus LoadCorpusCheckpoint(const std::string& path,
                   "diffusion model");
   }
 
+  // Bound both counts by the payload before multiplying, so a crafted
+  // header cannot wrap the byte sizes into a plausible total.
+  const uint64_t payload_bytes = bytes.size() - reader.pos;
+  if (num_sets >= payload_bytes / sizeof(uint64_t) ||
+      num_entries > payload_bytes / sizeof(NodeId)) {
+    return Refuse(CheckpointStatus::kCorrupt, error,
+                  "torn payload: header counts exceed the file size");
+  }
   const uint64_t offsets_bytes = (num_sets + 1) * sizeof(uint64_t);
   const uint64_t members_bytes = num_entries * sizeof(NodeId);
-  if (reader.pos + offsets_bytes + members_bytes != bytes.size()) {
+  if (offsets_bytes + members_bytes != payload_bytes) {
     return Refuse(CheckpointStatus::kCorrupt, error,
                   "torn payload: file size does not match the header");
   }

@@ -37,7 +37,7 @@ struct CheckpointMeta {
   double epsilon = 0;        // service default accuracy at save time
   uint64_t epoch = 0;        // store epoch at save time
   NodeId num_nodes = 0;
-  uint64_t graph_fingerprint = 0;  // GraphFingerprint() of the snapshot
+  uint64_t graph_fingerprint = 0;  // GraphFingerprint() (graph/graph_file.h)
 };
 
 enum class CheckpointStatus : uint8_t {
@@ -49,12 +49,6 @@ enum class CheckpointStatus : uint8_t {
 };
 
 const char* CheckpointStatusName(CheckpointStatus status);
-
-// Order-sensitive FNV-1a digest of the graph's topology and weights
-// (node count, arc counts, targets, weight bit patterns, multiplicities).
-// Two graphs with equal fingerprints are — for checkpoint purposes — the
-// same sampling substrate: RR streams drawn on them are identical.
-uint64_t GraphFingerprint(const Graph& graph);
 
 // Writes `corpus` + `meta` to `path`. Returns false on IO failure (or an
 // injected checkpoint_write fault, which tears the file on purpose),

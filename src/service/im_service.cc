@@ -8,6 +8,7 @@
 #include "common/check.h"
 #include "framework/fault.h"
 #include "framework/trace.h"
+#include "graph/graph_file.h"
 
 namespace imbench {
 

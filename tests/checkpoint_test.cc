@@ -5,14 +5,17 @@
 #include "service/checkpoint.h"
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "framework/datasets.h"
 #include "framework/fault.h"
+#include "graph/graph_file.h"
 #include "graph/weights.h"
 #include "service/epoch_graph_store.h"
 #include "service/im_service.h"
@@ -145,6 +148,47 @@ TEST(CheckpointTest, TruncatedFileIsCorrupt) {
   // Torn header.
   WriteAll(path, std::vector<char>(bytes.begin(), bytes.begin() + 10));
   EXPECT_EQ(service.LoadCheckpoint(path), CheckpointStatus::kCorrupt);
+}
+
+// A forged header whose checksums are both valid: num_sets = 2^61 - 1
+// makes the offsets arena's byte size (num_sets + 1) * 8 wrap to 0, and
+// num_entries makes the members arena alone span the whole payload, so the
+// byte total matches the file. The counts must be refused before anything
+// is sized from them.
+TEST(CheckpointTest, CraftedHeaderCountsAreCorrupt) {
+  const std::string path = TempPath("ckpt_crafted.bin");
+  EpochGraphStore store(CheckpointTestGraph());
+  ImService service(store, BaseOptions());
+  ImQuery query;
+  query.k = 5;
+  service.Query(query);
+  ASSERT_TRUE(service.SaveCheckpoint(path, nullptr));
+
+  // Header layout: num_sets at byte 56, then num_entries, the payload
+  // checksum and the header checksum over the first 80 bytes.
+  constexpr size_t kNumSetsAt = 56;
+  constexpr size_t kHeaderBytes = 88;
+  std::vector<char> bytes = ReadAll(path);
+  ASSERT_GT(bytes.size(), kHeaderBytes);
+  const uint64_t payload_bytes = bytes.size() - kHeaderBytes;
+  const uint64_t fields[3] = {
+      (uint64_t{1} << 61) - 1, payload_bytes / sizeof(NodeId),
+      Fnv1a(bytes.data() + kHeaderBytes, payload_bytes, kFnvBasis)};
+  std::memcpy(&bytes[kNumSetsAt], fields, sizeof fields);
+  const uint64_t header_checksum =
+      Fnv1a(bytes.data(), kHeaderBytes - sizeof(uint64_t), kFnvBasis);
+  std::memcpy(&bytes[kHeaderBytes - sizeof(uint64_t)], &header_checksum,
+              sizeof header_checksum);
+  WriteAll(path, bytes);
+
+  EpochGraphStore store2(CheckpointTestGraph());
+  ImService service2(store2, BaseOptions());
+  std::string detail;
+  EXPECT_EQ(service2.LoadCheckpoint(path, &detail),
+            CheckpointStatus::kCorrupt)
+      << detail;
+  EXPECT_EQ(service2.corpus().size(), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointTest, WrongIdentityIsMismatchNotCorrupt) {

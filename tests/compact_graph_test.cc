@@ -4,12 +4,15 @@
 // refusals (torn, truncated, foreign, injected IO faults).
 #include "graph/compact_graph.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "framework/fault.h"
 #include "framework/trace.h"
@@ -18,13 +21,20 @@
 #include "graph/generators.h"
 #include "graph/graph_view.h"
 #include "graph/weights.h"
-#include "service/checkpoint.h"
 
 namespace imbench {
 namespace {
 
+// Prefixed with the running test's name: ctest runs every test in its own
+// process in parallel, and two tests sharing one file would rewrite it
+// under each other's mapping.
 std::string TempPath(const char* name) {
-  return ::testing::TempDir() + "/" + name;
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string prefix = std::string(info->test_suite_name()) + "." +
+                       info->name() + ".";
+  std::replace(prefix.begin(), prefix.end(), '/', '_');
+  return ::testing::TempDir() + "/" + prefix + name;
 }
 
 // A graph with hubs, sinks, isolated nodes, parallel arcs and self loops —
@@ -309,6 +319,26 @@ class CorruptionTest : public ::testing::Test {
     std::fclose(f);
   }
 
+  // Rewrites the file with one 8-byte header field forged and the header
+  // checksum resealed, so only the bounds checks can refuse it.
+  void ForgeHeaderU64(size_t at, uint64_t value) {
+    std::string forged = bytes_;
+    std::memcpy(&forged[at], &value, sizeof value);
+    const uint64_t checksum = Fnv1a(
+        forged.data(), imgrf::kHeaderBytes - sizeof(uint64_t), kFnvBasis);
+    std::memcpy(&forged[imgrf::kHeaderBytes - sizeof(uint64_t)], &checksum,
+                sizeof checksum);
+    Rewrite(forged);
+  }
+
+  // Byte position of a header field: num_edges follows magic, version,
+  // model, num_nodes and flags; the section table follows the fingerprint
+  // with one (offset, size) pair per section.
+  static constexpr size_t kNumEdgesAt = 24;
+  static size_t SectionFieldAt(int section, bool size) {
+    return 40 + 16 * static_cast<size_t>(section) + (size ? 8 : 0);
+  }
+
   Graph graph_;
   std::string path_;
   std::string bytes_;
@@ -361,6 +391,30 @@ TEST_F(CorruptionTest, NotAnImgrfFileIsRefused) {
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
             GraphFileStatus::kCorrupt);
   EXPECT_NE(error.find("IMGRF"), std::string::npos) << error;
+}
+
+TEST_F(CorruptionTest, CraftedHeaderIsRefused) {
+  CompactGraph compact;
+  std::string error;
+  // An out_blocks size whose offset + size wraps to 8 would pass a naive
+  // `offset + size > file_size` test and send the payload checksum past
+  // the mapping. The payload checksum field is left as written: at the
+  // forged size there is no in-bounds payload to hash.
+  uint64_t offset = 0;
+  std::memcpy(&offset, &bytes_[SectionFieldAt(imgrf::kOutBlocks, false)],
+              sizeof offset);
+  ForgeHeaderU64(SectionFieldAt(imgrf::kOutBlocks, true), uint64_t{8} - offset);
+  EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
+            GraphFileStatus::kCorrupt);
+  EXPECT_NE(error.find("out of bounds"), std::string::npos) << error;
+
+  // 2^62 + m wraps both per-edge section sizes (x8 weights, x4
+  // multiplicities) back to the real ones, so the section table and the
+  // untouched payload checksum would both agree with the forged count.
+  ForgeHeaderU64(kNumEdgesAt, (uint64_t{1} << 62) + graph_.num_edges());
+  EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
+            GraphFileStatus::kCorrupt);
+  EXPECT_NE(error.find("edge count"), std::string::npos) << error;
 }
 
 TEST_F(CorruptionTest, ForeignFingerprintIsRefusedAsMismatch) {

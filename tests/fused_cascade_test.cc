@@ -1,5 +1,5 @@
 // Differential and contract tests for the bit-parallel fused MC kernels
-// (diffusion/fused_cascade.h) and their EstimateSpread / RR-engine wiring.
+// (diffusion/fused_cascade.h) and their EstimateSpread wiring.
 //
 // The anchor is FusedScalarReplay: a plain sequential BFS that re-derives
 // the exact coin masks / thresholds of one fused lane. Every lane of every
@@ -8,8 +8,6 @@
 // LT threshold/recompute scheme all at once.
 #include "diffusion/fused_cascade.h"
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -17,15 +15,12 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
-#include "diffusion/parallel_rr.h"
-#include "diffusion/rr_sets.h"
 #include "diffusion/spread.h"
 #include "framework/registry.h"
 #include "framework/run_guard.h"
 #include "framework/trace.h"
 #include "graph/graph.h"
 #include "graph/weights.h"
-#include "tests/oracle_util.h"
 #include "tests/test_util.h"
 
 namespace imbench {
@@ -210,215 +205,6 @@ TEST(FusedKernelDeathTest, StreamingWithFusedEngineChecks) {
   EXPECT_DEATH(EstimateSpread(graph, DiffusionKind::kIndependentCascade,
                               {{NodeId{0}}}, options),
                "streaming");
-}
-
-// ---------------------------------------------------------------------------
-// Fused reverse-reachable generation.
-
-Graph RrGraph(NodeId n = 200) {
-  std::vector<Arc> arcs;
-  for (NodeId i = 0; i < n; ++i) {
-    arcs.push_back(Arc{i, (i + 1) % n});
-    const NodeId far = (i * 13 + 5) % n;
-    if (far != i) arcs.push_back(Arc{i, far});
-    if (i % 4 == 0) {
-      const NodeId hop = (i * 29 + 11) % n;
-      if (hop != i) arcs.push_back(Arc{i, hop});
-    }
-  }
-  Graph g = Graph::FromArcs(n, arcs);
-  AssignWeightedCascade(g);
-  return g;
-}
-
-SamplerOptions FusedSamplerOpts(DiffusionKind kind, uint32_t threads = 1,
-                                ThreadPool* pool = nullptr) {
-  SamplerOptions options;
-  options.kind = kind;
-  options.engine = McEngine::kFused64;
-  options.threads = threads;
-  options.pool = pool;
-  return options;
-}
-
-TEST(FusedKernelRrTest, SequentialAndParallelFusedCorporaIdentical) {
-  Graph graph = RrGraph();
-  const uint64_t kSeed = 77;
-  const uint64_t kCount = 700;
-
-  RrSampler sequential(
-      graph, FusedSamplerOpts(DiffusionKind::kIndependentCascade));
-  RrCollection seq_out(graph.num_nodes());
-  std::vector<uint64_t> seq_widths;
-  const RrBatchResult seq_result =
-      sequential.Generate(kSeed, kCount, seq_out, &seq_widths);
-  ASSERT_EQ(seq_result.generated, kCount);
-  ASSERT_EQ(seq_result.stop, StopReason::kNone);
-
-  for (const uint32_t threads : {2u, 5u}) {
-    ThreadPool pool(threads - 1);
-    ParallelRrSampler parallel(
-        graph,
-        FusedSamplerOpts(DiffusionKind::kIndependentCascade, threads, &pool));
-    RrCollection par_out(graph.num_nodes());
-    std::vector<uint64_t> par_widths;
-    const RrBatchResult par_result =
-        parallel.Generate(kSeed, kCount, par_out, &par_widths);
-    ASSERT_EQ(par_result.generated, kCount);
-    ASSERT_EQ(par_result.stop, StopReason::kNone);
-    ASSERT_TRUE(std::equal(seq_out.MembersArena().begin(),
-                           seq_out.MembersArena().end(),
-                           par_out.MembersArena().begin(),
-                           par_out.MembersArena().end()))
-        << "threads=" << threads;
-    ASSERT_TRUE(std::equal(seq_out.OffsetsArena().begin(),
-                           seq_out.OffsetsArena().end(),
-                           par_out.OffsetsArena().begin(),
-                           par_out.OffsetsArena().end()))
-        << "threads=" << threads;
-    EXPECT_EQ(seq_widths, par_widths) << "threads=" << threads;
-  }
-}
-
-TEST(FusedKernelRrTest, RangePartitionIndependence) {
-  Graph graph = RrGraph();
-  const uint64_t kSeed = 9;
-
-  RrSampler whole(graph,
-                  FusedSamplerOpts(DiffusionKind::kIndependentCascade));
-  RrCollection whole_out(graph.num_nodes());
-  ASSERT_EQ(whole.Generate(kSeed, 200, whole_out, nullptr).generated, 200u);
-
-  // Same 200 sets, requested as an unaligned 37 + 163 split.
-  RrSampler split(graph,
-                  FusedSamplerOpts(DiffusionKind::kIndependentCascade));
-  RrCollection split_out(graph.num_nodes());
-  ASSERT_EQ(split.Generate(kSeed, 37, split_out, nullptr).generated, 37u);
-  ASSERT_EQ(split.Generate(kSeed, 163, split_out, nullptr).generated, 163u);
-
-  ASSERT_EQ(whole_out.size(), split_out.size());
-  EXPECT_TRUE(std::equal(whole_out.MembersArena().begin(),
-                         whole_out.MembersArena().end(),
-                         split_out.MembersArena().begin(),
-                         split_out.MembersArena().end()));
-  EXPECT_TRUE(std::equal(whole_out.OffsetsArena().begin(),
-                         whole_out.OffsetsArena().end(),
-                         split_out.OffsetsArena().begin(),
-                         split_out.OffsetsArena().end()));
-}
-
-TEST(FusedKernelRrTest, RootsMatchScalarSamplerStreams) {
-  Graph graph = RrGraph();
-  const uint64_t kSeed = 3;
-  RrSampler sampler(graph,
-                    FusedSamplerOpts(DiffusionKind::kIndependentCascade));
-  RrCollection out(graph.num_nodes());
-  ASSERT_EQ(sampler.Generate(kSeed, 130, out, nullptr).generated, 130u);
-  for (uint64_t i = 0; i < 130; ++i) {
-    Rng rng = Rng::ForStream(kSeed, i);
-    const NodeId expected_root = rng.NextU32(graph.num_nodes());
-    ASSERT_FALSE(out.Set(i).empty());
-    EXPECT_EQ(out.Set(i).front(), expected_root) << "set=" << i;
-  }
-}
-
-TEST(FusedKernelRrTest, WidthsAreMemberInDegreeSums) {
-  Graph graph = RrGraph();
-  RrSampler sampler(graph,
-                    FusedSamplerOpts(DiffusionKind::kIndependentCascade));
-  RrCollection out(graph.num_nodes());
-  std::vector<uint64_t> widths;
-  ASSERT_EQ(sampler.Generate(21, 96, out, &widths).generated, 96u);
-  ASSERT_EQ(widths.size(), 96u);
-  for (size_t i = 0; i < widths.size(); ++i) {
-    uint64_t expected = 0;
-    for (const NodeId v : out.Set(i)) expected += graph.InDegree(v);
-    EXPECT_EQ(widths[i], expected) << "set=" << i;
-  }
-}
-
-TEST(FusedKernelRrTest, LtFallsBackToScalar) {
-  Graph graph = RrGraph();
-  AssignLtUniform(graph);
-
-  RrSampler fused(graph, FusedSamplerOpts(DiffusionKind::kLinearThreshold));
-  RrCollection fused_out(graph.num_nodes());
-  ASSERT_EQ(fused.Generate(4, 150, fused_out, nullptr).generated, 150u);
-
-  SamplerOptions scalar_opts;
-  scalar_opts.kind = DiffusionKind::kLinearThreshold;
-  scalar_opts.engine = McEngine::kScalar;
-  RrSampler scalar(graph, scalar_opts);
-  RrCollection scalar_out(graph.num_nodes());
-  ASSERT_EQ(scalar.Generate(4, 150, scalar_out, nullptr).generated, 150u);
-
-  EXPECT_TRUE(std::equal(fused_out.MembersArena().begin(),
-                         fused_out.MembersArena().end(),
-                         scalar_out.MembersArena().begin(),
-                         scalar_out.MembersArena().end()));
-  EXPECT_TRUE(std::equal(fused_out.OffsetsArena().begin(),
-                         fused_out.OffsetsArena().end(),
-                         scalar_out.OffsetsArena().begin(),
-                         scalar_out.OffsetsArena().end()));
-}
-
-TEST(FusedKernelRrTest, EntryCapKeepsCrossingSetAndStopsWithMemory) {
-  Graph graph = RrGraph();
-  const uint64_t kSeed = 15;
-
-  // Reference: unlimited corpus.
-  RrSampler unlimited(graph,
-                      FusedSamplerOpts(DiffusionKind::kIndependentCascade));
-  RrCollection full(graph.num_nodes());
-  ASSERT_EQ(unlimited.Generate(kSeed, 300, full, nullptr).generated, 300u);
-
-  SamplerOptions capped_opts =
-      FusedSamplerOpts(DiffusionKind::kIndependentCascade);
-  capped_opts.max_total_entries = full.TotalEntries() / 4;
-  RrSampler capped(graph, capped_opts);
-  RrCollection capped_out(graph.num_nodes());
-  const RrBatchResult result = capped.Generate(kSeed, 300, capped_out, nullptr);
-  EXPECT_EQ(result.stop, StopReason::kMemory);
-  EXPECT_LT(result.generated, 300u);
-  EXPECT_GT(result.generated, 0u);
-  // Add-then-check: the crossing set is kept, so the total may exceed the
-  // cap by at most one set, and the kept sets are an exact prefix.
-  EXPECT_GE(capped_out.TotalEntries(), capped_opts.max_total_entries);
-  ASSERT_EQ(capped_out.size(), result.generated);
-  for (size_t i = 0; i < capped_out.size(); ++i) {
-    const auto expect = full.Set(i);
-    const auto got = capped_out.Set(i);
-    ASSERT_TRUE(std::equal(got.begin(), got.end(), expect.begin(),
-                           expect.end()))
-        << "set=" << i;
-  }
-}
-
-TEST(FusedKernelRrTest, FusedRrEstimatorMatchesExactSpread) {
-  // n * P[seed in RR set] is an unbiased estimator of σ({seed}); compare
-  // the fused corpus's hit rate against the exact IC oracle.
-  std::vector<Arc> arcs = {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4},
-                           {4, 5}, {5, 3}, {1, 4}, {0, 1}};
-  Graph graph = Graph::FromArcs(6, arcs);
-  AssignWeightedCascade(graph);
-  const NodeId seed_node = 0;
-  const double exact = testutil::ExactSpreadIc(graph, {{seed_node}});
-
-  const uint64_t kSets = 200000;
-  RrSampler sampler(graph,
-                    FusedSamplerOpts(DiffusionKind::kIndependentCascade));
-  RrCollection out(graph.num_nodes());
-  ASSERT_EQ(sampler.Generate(123, kSets, out, nullptr).generated, kSets);
-  uint64_t hits = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    const auto set = out.Set(i);
-    if (std::find(set.begin(), set.end(), seed_node) != set.end()) ++hits;
-  }
-  const double n = graph.num_nodes();
-  const double p_hat = static_cast<double>(hits) / kSets;
-  const double estimate = n * p_hat;
-  const double sigma = n * std::sqrt(p_hat * (1 - p_hat) / kSets);
-  EXPECT_NEAR(estimate, exact, 3 * sigma + 1e-6);
 }
 
 }  // namespace
