@@ -49,13 +49,13 @@ template <typename Backend>
 double MeasureRrSeconds(const Backend& backend, NodeId num_nodes,
                         uint32_t sets, int64_t reps,
                         std::vector<std::vector<NodeId>>* corpus_out) {
-  SamplerOptions options;
+  SamplerOptions options;  // threads = 1: the engine's batches run inline
   double best = 0;
   for (int64_t rep = 0; rep < reps; ++rep) {
-    RrSampler sampler(backend, options);
+    RrEngine engine(backend, options);
     RrCollection corpus(num_nodes);
     Timer timer;
-    sampler.Generate(/*seed=*/42, sets, corpus, nullptr);
+    engine.Generate(/*seed=*/42, sets, corpus, nullptr);
     const double seconds = timer.Seconds();
     if (rep == 0) {
       best = seconds;

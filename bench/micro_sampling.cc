@@ -1,8 +1,8 @@
-// Scaling micro benchmark for the parallel RR-sampling engine (the
-// tentpole behind --threads). Generates a fixed corpus on a Barabási–
-// Albert graph with 100K nodes under WC weights and sweeps the thread
-// count; the parallel engine is bit-identical to the sequential one, so
-// the only thing that changes across rows is wall-clock time.
+// Scaling micro benchmark for the RR-sampling engine (the one behind
+// --threads). Generates a fixed corpus on a Barabási–Albert graph with
+// 100K nodes under WC weights and sweeps the thread count; the corpus is
+// bit-identical at every thread count, so the only thing that changes
+// across rows is wall-clock time.
 //
 // Each row builds a private ThreadPool with (threads - 1) workers so the
 // sweep exercises real worker threads regardless of what the shared pool

@@ -169,8 +169,8 @@ int main(int argc, char** argv) {
   std::remove(ckpt_path.c_str());
 
   // --- Chaos: the self-healing overhead. A transient arena fault is
-  // retried in place; a persistent one degrades to the sequential
-  // per-query sampler. Both must still serve the reference seeds. ---
+  // retried in place; a persistent one degrades to a one-lane engine.
+  // Both must still serve the reference seeds. ---
   double retry_seconds = 0;
   uint32_t retry_retries = 0;
   {
@@ -190,7 +190,7 @@ int main(int argc, char** argv) {
   double degraded_seconds = 0;
   uint32_t degraded_retries = 0;
   {
-    // fires=4 exhausts the initial attempt + 3 retries; the sequential
+    // fires=4 exhausts the initial attempt + 3 retries; the one-lane
     // fallback starts past the window.
     ScopedFaultPlan scoped(OneRule(faultsite::kRrArenaGrow, 1, 4));
     EpochGraphStore chaos_store(store.Current().graph->Clone());

@@ -5,7 +5,6 @@
 
 #include "common/check.h"
 #include "common/thread_pool.h"
-#include "diffusion/parallel_rr.h"
 #include "framework/fault.h"
 #include "framework/run_guard.h"
 #include "framework/trace.h"
@@ -26,13 +25,6 @@ constexpr size_t kDegreeBucketThreshold = 4096;
 RrSampler::RrSampler(const GraphView& graph, DiffusionKind kind,
                      RunGuard* guard)
     : graph_(graph), kind_(kind), guard_(guard) {}
-
-RrSampler::RrSampler(const GraphView& graph, const SamplerOptions& options)
-    : graph_(graph),
-      kind_(options.kind),
-      guard_(options.guard),
-      trace_(options.trace),
-      max_total_entries_(options.max_total_entries) {}
 
 uint64_t RrSampler::Generate(Rng& rng, std::vector<NodeId>& out) {
   return GenerateFromRoot(rng.NextU32(graph_.num_nodes()), rng, out);
@@ -72,64 +64,6 @@ uint64_t RrSampler::GenerateStreamInto(uint64_t seed, uint64_t index,
       return GenerateLt(root, rng, buffer, base);
   }
   return 0;
-}
-
-RrBatchResult RrSampler::Generate(uint64_t seed, uint64_t count,
-                                  RrCollection& out,
-                                  std::vector<uint64_t>* widths) {
-  RrBatchResult result;
-  std::vector<NodeId> scratch;
-  uint64_t edges_examined = 0;
-  for (uint64_t i = 0; i < count; ++i) {
-    if (abort_ != nullptr && abort_->load(std::memory_order_relaxed)) break;
-    if (GuardShouldStop(guard_)) {
-      result.stop = guard_->reason();
-      break;
-    }
-    // Fault site: the next arena append fails (simulated OOM). Checked
-    // before the set is drawn, so the stream cursor stays on the failed
-    // index and a retry regenerates exactly the missing tail. A transient
-    // fault stops this batch without tripping the caller's guard; a fatal
-    // reason simulates a budget trip through the normal sticky path.
-    StopReason injected = StopReason::kNone;
-    if (FaultFire(faultsite::kRrArenaGrow, &injected)) {
-      result.stop = injected;
-      if (!IsTransientStop(injected) && guard_ != nullptr) {
-        guard_->Trip(injected);
-      }
-      break;
-    }
-    const uint64_t width = GenerateStream(seed, next_index_++, scratch);
-    // A mid-set guard trip leaves a truncated set; drop it so the corpus
-    // stays a prefix of the deterministic sequence.
-    if (GuardStopped(guard_)) {
-      result.stop = guard_->reason();
-      break;
-    }
-    // The scratch buffer is copied into the arena and reused: after the
-    // first few sets it never reallocates again.
-    out.AppendSet(scratch);
-    if (widths != nullptr) widths->push_back(width);
-    edges_examined += width;
-    ++result.generated;
-    // The entry cap is the sampler's own safety valve: report kMemory but
-    // leave the caller's run-wide guard alone so the post-selection
-    // evaluation of the partial seed set still runs.
-    if (max_total_entries_ != 0 && out.TotalEntries() > max_total_entries_) {
-      result.stop = StopReason::kMemory;
-      break;
-    }
-  }
-  if (result.stop == StopReason::kNone && GuardStopped(guard_)) {
-    result.stop = guard_->reason();
-  }
-  TraceAdd(trace_, TraceCounter::kRrEdgesExamined, edges_examined);
-  // Batched Generate is a coordinating site: lane samplers run with a null
-  // trace, so only this sequential flush reaches the counter and the total
-  // stays thread-count invariant.
-  TraceAdd(trace_, TraceCounter::kNeighborBlocksDecoded,
-           std::exchange(scratch_.blocks_decoded, 0));
-  return result;
 }
 
 uint64_t RrSampler::GenerateIc(NodeId root, Rng& rng, std::vector<NodeId>& out,
@@ -186,15 +120,183 @@ uint64_t RrSampler::GenerateLt(NodeId root, Rng& rng, std::vector<NodeId>& out,
   return edges_examined;
 }
 
+RrEngine::RrEngine(const GraphView& graph, const SamplerOptions& options)
+    : graph_(graph),
+      options_(options),
+      pool_(options.pool != nullptr ? options.pool : &ThreadPool::Shared()),
+      lanes_(pool_->worker_count() > 0 ? EffectiveThreads(options.threads)
+                                       : 1) {}
+
+RrEngine::~RrEngine() = default;
+
+RrBatchResult RrEngine::Generate(uint64_t seed, uint64_t count,
+                                 RrCollection& out,
+                                 std::vector<uint64_t>* widths) {
+  RrBatchResult result;
+  if (count == 0) return result;
+
+  ParallelGuardState stop_state(options_.guard);
+  if (lane_states_.empty()) {
+    lane_states_.reserve(lanes_);
+    for (uint32_t lane = 0; lane < lanes_; ++lane) {
+      lane_states_.push_back(std::make_unique<LaneState>(
+          graph_, options_.kind, stop_state.MakeLaneGuard()));
+    }
+  } else {
+    // Refresh the guard copies so this call starts from the parent's
+    // current budget state (the sampler keeps pointing at ls.guard).
+    for (auto& ls : lane_states_) ls->guard = stop_state.MakeLaneGuard();
+  }
+  for (auto& ls : lane_states_) {
+    ls->sampler.set_abort_flag(stop_state.abort_flag());
+  }
+  // The rr_sampler_lane fault site models a worker lane dying, so it only
+  // fires when waves really fan out; a single inline lane (the
+  // per-query-sampler fallback of the query service) escapes it.
+  const bool fans_out = lanes_ > 1;
+
+  // Merged-prefix totals only, so the trace is thread-count invariant.
+  uint64_t edges_examined = 0;
+  uint64_t blocks_decoded = 0;
+  auto finish = [&](StopReason stop) {
+    result.stop = stop;
+    TraceAdd(options_.trace, TraceCounter::kRrEdgesExamined, edges_examined);
+    TraceAdd(options_.trace, TraceCounter::kNeighborBlocksDecoded,
+             blocks_decoded);
+    return result;
+  };
+  bool draining = false;
+  while (result.generated < count && !draining) {
+    const uint64_t remaining = count - result.generated;
+    // A wave covers a few batches per lane: enough to balance uneven set
+    // sizes through the pool's dynamic cursor, small enough that buffered
+    // (not yet merged) sets stay bounded. Every wave but the last is a
+    // whole number of batches, so batch boundaries do not depend on lanes_.
+    const uint64_t wave_target =
+        std::min<uint64_t>(remaining, uint64_t{lanes_} * 4 * kBatchSets);
+    const uint64_t num_batches = (wave_target + kBatchSets - 1) / kBatchSets;
+    const uint64_t wave_base = next_index_;
+    const uint64_t index_end = wave_base + wave_target;
+
+    // Reset the persistent wave buffers: clear() keeps the capacities, so
+    // after the first wave no allocation happens on the generation path.
+    if (batches_.size() < num_batches) batches_.resize(num_batches);
+    for (uint64_t b = 0; b < num_batches; ++b) {
+      batches_[b].members.clear();
+      batches_[b].sizes.clear();
+      batches_[b].widths.clear();
+      batches_[b].blocks.clear();
+      batches_[b].complete = false;
+    }
+    pool_->ParallelFor(
+        num_batches, lanes_, [&](uint64_t b, uint32_t lane) {
+          LaneState& ls = *lane_states_[lane];
+          Batch& batch = batches_[b];
+          const uint64_t first = wave_base + b * kBatchSets;
+          const uint64_t n = std::min<uint64_t>(kBatchSets, index_end - first);
+          for (uint64_t j = 0; j < n; ++j) {
+            if (stop_state.aborted()) return;
+            if (ls.guard.ShouldStop()) {
+              stop_state.Trip(ls.guard.reason());
+              return;
+            }
+            // Fault site: this lane dies before drawing its next set. The
+            // wave drains through the shared abort flag and the merge
+            // keeps the deterministic prefix; Propagate() withholds
+            // transient reasons from the parent guard so a retry can
+            // resume from the same stream index.
+            StopReason injected = StopReason::kNone;
+            if (fans_out && FaultFire(faultsite::kSamplerLane, &injected)) {
+              stop_state.Trip(injected);
+              return;
+            }
+            const size_t base = batch.members.size();
+            const uint64_t width =
+                ls.sampler.GenerateStreamInto(seed, first + j, batch.members);
+            const uint64_t blocks = ls.sampler.TakeBlocksDecoded();
+            // A trip mid-set (own guard or a sibling's abort) leaves a
+            // truncated tail in the buffer; roll it back rather than
+            // publish a non-deterministic member list.
+            if (ls.guard.stopped()) {
+              batch.members.resize(base);
+              stop_state.Trip(ls.guard.reason());
+              return;
+            }
+            if (stop_state.aborted()) {
+              batch.members.resize(base);
+              return;
+            }
+            batch.sizes.push_back(
+                static_cast<uint32_t>(batch.members.size() - base));
+            batch.widths.push_back(width);
+            batch.blocks.push_back(blocks);
+          }
+          batch.complete = true;
+        });
+
+    // Merge in index order; each batch lands as one block splice (bulk
+    // arena copy + size-many offsets).
+    for (uint64_t b = 0; b < num_batches; ++b) {
+      Batch& batch = batches_[b];
+      // Fault site: the arena append of this merged batch fails (simulated
+      // OOM). The merge is single-threaded, so the failing batch index is
+      // deterministic; nothing from it is appended and the stream cursor
+      // stays put, so a retry resumes at exactly the dropped batch.
+      StopReason injected = StopReason::kNone;
+      if (batch.sizes.empty() && !batch.complete) {
+        // Nothing to append; fall through to the incomplete-batch check.
+      } else if (FaultFire(faultsite::kRrArenaGrow, &injected)) {
+        if (!IsTransientStop(injected) && options_.guard != nullptr) {
+          options_.guard->Trip(injected);
+        }
+        return finish(injected);
+      }
+      // Entry cap: the engine's own safety valve, resolved here so the
+      // crossing set index is deterministic. The crossing set is kept, the
+      // rest of the batch is not. It reports kMemory but leaves the
+      // caller's run-wide guard alone, so the post-selection evaluation of
+      // the partial seed set still runs.
+      size_t keep = batch.sizes.size();
+      uint64_t keep_entries = batch.members.size();
+      bool cap_hit = false;
+      if (options_.max_total_entries != 0) {
+        uint64_t running = out.TotalEntries();
+        for (size_t i = 0; i < batch.sizes.size(); ++i) {
+          running += batch.sizes[i];
+          if (running > options_.max_total_entries) {
+            keep = i + 1;
+            keep_entries = running - out.TotalEntries();
+            cap_hit = true;
+            break;
+          }
+        }
+      }
+      out.AppendBatch(
+          std::span<const NodeId>(batch.members.data(), keep_entries),
+          std::span<const uint32_t>(batch.sizes.data(), keep));
+      for (size_t i = 0; i < keep; ++i) {
+        if (widths != nullptr) widths->push_back(batch.widths[i]);
+        edges_examined += batch.widths[i];
+        blocks_decoded += batch.blocks[i];
+      }
+      next_index_ += keep;
+      result.generated += keep;
+      if (cap_hit) return finish(StopReason::kMemory);
+      if (!batch.complete) {
+        draining = true;
+        break;
+      }
+    }
+    if (stop_state.aborted()) draining = true;
+  }
+
+  stop_state.Propagate();
+  return finish(stop_state.reason());
+}
+
 std::unique_ptr<RrEngine> MakeRrEngine(const GraphView& graph,
                                        const SamplerOptions& options) {
-  const uint32_t threads = EffectiveThreads(options.threads);
-  ThreadPool& pool =
-      options.pool != nullptr ? *options.pool : ThreadPool::Shared();
-  if (threads <= 1 || pool.worker_count() == 0) {
-    return std::make_unique<RrSampler>(graph, options);
-  }
-  return std::make_unique<ParallelRrSampler>(graph, options);
+  return std::make_unique<RrEngine>(graph, options);
 }
 
 RrCollection::RrCollection(NodeId num_nodes) : num_nodes_(num_nodes) {

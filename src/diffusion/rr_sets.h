@@ -9,14 +9,14 @@
 //     proportional to its weight (no in-edge with the residual probability
 //     1 - Σ W) — a reverse random walk without revisits.
 //
-// Sampling goes through the RrEngine interface: set number i is always
-// drawn from Rng::ForStream(seed, i) — root choice included — so a corpus
+// Sampling has one batched engine, RrEngine: set number i is always drawn
+// from Rng::ForStream(seed, i) — root choice included — so a corpus
 // depends only on (seed, count), never on the thread count or on how the
-// work was scheduled. RrSampler is the sequential engine; ParallelRrSampler
-// (diffusion/parallel_rr.h) fans batches across the shared thread pool and
-// merges them in index order, bit-identical to the sequential engine.
-// MakeRrEngine() picks between them, which is how TIM+/IMM/RIS select
-// their sampling backend from one place.
+// work was scheduled. The engine fans 64-set batches across the shared
+// thread pool and merges them in index order; at one lane
+// ThreadPool::ParallelFor runs the same batches inline, so --threads=1 is
+// the same code path, not a second engine. RrSampler is the per-set kernel
+// both the engine's lanes and the service's repair loop call.
 #ifndef IMBENCH_DIFFUSION_RR_SETS_H_
 #define IMBENCH_DIFFUSION_RR_SETS_H_
 
@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -37,19 +38,20 @@ namespace imbench {
 class ThreadPool;
 class Trace;
 
-// Common constructor shape for the RR-set engines: diffusion kind plus the
-// shared run controls. Shared by RrSampler, ParallelRrSampler and the
-// MakeRrEngine() factory the algorithms use.
+// Construction options of RrEngine: diffusion kind plus the shared run
+// controls. MakeRrEngine() takes the same struct.
 //
-// CommonRunOptions fields, as the engines read them:
+// CommonRunOptions fields, as the engine reads them:
 //   * `guard` is polled inside the reverse BFS/walk, so even a single
 //     exploding RR set (supercritical IC) cannot overrun a budget:
 //     generation stops mid-set and the truncated corpus is returned with
 //     the trip's StopReason.
-//   * `threads` picks the generation backend (1 = sequential, 0 = all
-//     hardware). Corpus contents are identical for every value.
-//   * `trace`: engines add the examined-edge count of every appended set
-//     to kRrEdgesExamined, always from the coordinating thread and only
+//   * `threads` is the number of lanes (0 = all hardware). One lane, or a
+//     pool without workers, runs every batch inline on the caller. Corpus
+//     contents are identical for every value.
+//   * `trace`: the engine adds the examined-edge and decoded-block counts
+//     of every appended set to kRrEdgesExamined and
+//     kNeighborBlocksDecoded, always from the coordinating thread and only
 //     for the merged prefix, so the totals are thread-count-invariant.
 //     Callers bump kRrSets themselves alongside Counters::rr_sets (RIS may
 //     truncate a chunk after generation, and only the caller knows the
@@ -72,41 +74,13 @@ struct RrBatchResult {
 
 class RrCollection;
 
-// Batched RR-set generation. Engines keep a running set index across
-// calls: the j-th set ever generated is drawn from Rng::ForStream(seed, j),
-// so callers must pass the same seed to every call on one engine.
-class RrEngine {
- public:
-  virtual ~RrEngine() = default;
-
-  // Appends up to `count` RR sets to `out`. If `widths` is non-null, the
-  // examined-edge count of each appended set is pushed in the same order
-  // (the width counter used by TIM+'s KPT estimation and RIS's budget).
-  // On a guard trip or entry-cap hit the appended sets form a prefix of
-  // the deterministic set sequence and `stop` carries the reason; callers
-  // bump Counters::rr_sets by `generated`, which keeps counts exact
-  // without any atomics on the generation hot path.
-  virtual RrBatchResult Generate(uint64_t seed, uint64_t count,
-                                 RrCollection& out,
-                                 std::vector<uint64_t>* widths = nullptr) = 0;
-
-  // Moves the running set index: the next Generate() call draws its first
-  // set from Rng::ForStream(seed, next_index). A fresh engine starts at 0;
-  // the query service seeks to the corpus size so a warm corpus built by an
-  // earlier (possibly discarded) engine is topped up with exactly the sets
-  // a cold engine would have produced next.
-  virtual void SeekStream(uint64_t next_index) = 0;
-};
-
-// Sequential engine; also generates RR sets one at a time with reusable
-// scratch through the legacy Generate(Rng&, out) entry points.
-class RrSampler : public RrEngine {
+// Per-set RR kernel: generates one RR set at a time with reusable
+// scratch. RrEngine's lanes call GenerateStreamInto; the query service's
+// repair loop and the reference tests call the clear-first entry points.
+class RrSampler {
  public:
   RrSampler(const GraphView& graph, DiffusionKind kind,
             RunGuard* guard = nullptr);
-  // SamplerOptions constructor; `threads` and `pool` are ignored (this is
-  // the one-thread engine).
-  RrSampler(const GraphView& graph, const SamplerOptions& options);
 
   // Samples an RR set rooted at a uniform random node; appends its members
   // (root included) to `out` (cleared first). Returns the number of edges
@@ -117,8 +91,8 @@ class RrSampler : public RrEngine {
   uint64_t GenerateFromRoot(NodeId root, Rng& rng, std::vector<NodeId>& out);
 
   // Draws the set with global index `index`: rng = ForStream(seed, index),
-  // root = rng.NextU32(n). The unit of determinism shared by the
-  // sequential and parallel engines.
+  // root = rng.NextU32(n). The unit of determinism: set i of any corpus
+  // built with `seed` equals this set.
   uint64_t GenerateStream(uint64_t seed, uint64_t index,
                           std::vector<NodeId>& out);
 
@@ -132,14 +106,15 @@ class RrSampler : public RrEngine {
   uint64_t GenerateStreamInto(uint64_t seed, uint64_t index,
                               std::vector<NodeId>& buffer);
 
-  RrBatchResult Generate(uint64_t seed, uint64_t count, RrCollection& out,
-                         std::vector<uint64_t>* widths = nullptr) override;
+  // Compressed neighbor blocks decoded since the last call (always 0 on
+  // the heap backend). RrEngine's lanes take it after every set so the
+  // merge can count the kept prefix only.
+  uint64_t TakeBlocksDecoded() {
+    return std::exchange(scratch_.blocks_decoded, 0);
+  }
 
-  void SeekStream(uint64_t next_index) override { next_index_ = next_index; }
-
-  // Hook for the parallel engine: an additional stop flag polled inside
-  // the BFS/walk so a sibling lane's trip truncates this lane's in-flight
-  // set too.
+  // Hook for RrEngine: an additional stop flag polled inside the BFS/walk
+  // so a sibling lane's trip truncates this lane's in-flight set too.
   void set_abort_flag(const std::atomic<bool>* abort) { abort_ = abort; }
 
  private:
@@ -167,18 +142,101 @@ class RrSampler : public RrEngine {
   GraphView graph_;
   DiffusionKind kind_;
   RunGuard* guard_;
-  Trace* trace_ = nullptr;
   const std::atomic<bool>* abort_ = nullptr;
-  uint64_t max_total_entries_ = 0;
-  uint64_t next_index_ = 0;  // stream cursor for batched generation
   uint32_t epoch_ = 0;
   std::vector<uint32_t> visited_stamp_;  // lazily sized (EnsureStamps)
   AdjScratch scratch_;  // compact-backend in-adjacency decode buffer
 };
 
-// Picks the engine for the requested thread count: the sequential
-// RrSampler for one thread (or a worker-less pool), ParallelRrSampler
-// otherwise. The single construction point TIM+/IMM/RIS go through.
+// The batched RR-set engine, at every thread count.
+//
+// Determinism scheme: the set with global index i is always drawn from
+// Rng::ForStream(seed, i), whichever lane runs it. Sets are generated in
+// fixed-size batches (kBatchSets consecutive indices counted from the
+// start of each Generate call); a wave of batches is fanned across the
+// pool with ThreadPool::ParallelFor, each lane appending into private
+// per-batch buffers, and after the join the batches are merged into the
+// collection in index order. Everything that decides where a corpus
+// stops — the entry cap, the rr_arena_grow fault site, an incomplete
+// batch — is resolved in that single-threaded merge, so a corpus, its
+// widths, its trace counters and any fault replay are the same for every
+// lane count. A guard trip marks the tripping lane's batch incomplete; the
+// merge stops at the first incomplete batch, so a truncated corpus is
+// always a *prefix* of the deterministic sequence.
+//
+// The engine keeps a running set index across calls: the j-th set it ever
+// generates is drawn from Rng::ForStream(seed, j), so callers must pass
+// the same seed to every call on one engine.
+class RrEngine {
+ public:
+  // Consecutive set indices generated by one lane between merges. Large
+  // enough to amortize scheduling, small enough that a tripped run wastes
+  // at most a wave of discarded sets.
+  static constexpr uint64_t kBatchSets = 64;
+
+  RrEngine(const GraphView& graph, const SamplerOptions& options);
+  ~RrEngine();
+  RrEngine(const RrEngine&) = delete;
+  RrEngine& operator=(const RrEngine&) = delete;
+
+  // Appends up to `count` RR sets to `out`. If `widths` is non-null, the
+  // examined-edge count of each appended set is pushed in the same order
+  // (the width counter used by TIM+'s KPT estimation and RIS's budget).
+  // On a guard trip or entry-cap hit the appended sets form a prefix of
+  // the deterministic set sequence and `stop` carries the reason; callers
+  // bump Counters::rr_sets by `generated`, which keeps counts exact
+  // without any atomics on the generation hot path.
+  RrBatchResult Generate(uint64_t seed, uint64_t count, RrCollection& out,
+                         std::vector<uint64_t>* widths = nullptr);
+
+  // Moves the running set index: the next Generate() call draws its first
+  // set from Rng::ForStream(seed, next_index). A fresh engine starts at 0;
+  // the query service seeks to the corpus size so a warm corpus built by an
+  // earlier (possibly discarded) engine is topped up with exactly the sets
+  // a cold engine would have produced next.
+  void SeekStream(uint64_t next_index) { next_index_ = next_index; }
+
+ private:
+  // Per-lane persistent state: a guard copy (RunGuard is single-threaded,
+  // so lanes never share one) and a sampler whose visited-stamp scratch
+  // survives across waves. The sampler's stamp array and decode scratch
+  // allocate lazily on the lane's first set, so their pages are first
+  // touched by the worker that owns them (NUMA first-touch under a pinned
+  // pool).
+  struct LaneState {
+    RunGuard guard;
+    RrSampler sampler;
+    LaneState(const GraphView& graph, DiffusionKind kind, RunGuard guard_copy)
+        : guard(guard_copy), sampler(graph, kind, &this->guard) {}
+  };
+
+  // One lane's private output for one batch of kBatchSets consecutive set
+  // indices, in the collection's own flat shape: all members back to back
+  // plus per-set sizes, so the merge is a single block splice per batch.
+  // Per set, `widths` and `blocks` hold its examined edges and decoded
+  // neighbor blocks. Buffers persist across waves (cleared, not
+  // reallocated) so steady-state generation does no per-batch heap
+  // allocation. `complete` distinguishes "ran out of indices" from
+  // "drained by a trip": the merge stops at the first incomplete batch so
+  // the corpus stays a prefix of the deterministic sequence.
+  struct Batch {
+    std::vector<NodeId> members;
+    std::vector<uint32_t> sizes;
+    std::vector<uint64_t> widths;
+    std::vector<uint64_t> blocks;
+    bool complete = false;
+  };
+
+  GraphView graph_;
+  SamplerOptions options_;
+  ThreadPool* pool_;
+  uint32_t lanes_;  // 1 unless the pool has workers to fan out to
+  uint64_t next_index_ = 0;  // global stream cursor across Generate calls
+  std::vector<std::unique_ptr<LaneState>> lane_states_;
+  std::vector<Batch> batches_;  // reusable wave buffers
+};
+
+// The single construction point TIM+/IMM/RIS go through.
 std::unique_ptr<RrEngine> MakeRrEngine(const GraphView& graph,
                                        const SamplerOptions& options);
 

@@ -54,6 +54,53 @@ struct HeaderReader {
   }
 };
 
+// Bounded LEB128 read: false if the varint runs past `end` or past 64 bits.
+bool ReadVarint(const uint8_t*& p, const uint8_t* end, uint64_t* v) {
+  uint64_t r = 0;
+  for (int shift = 0; shift < 64 && p < end; shift += 7) {
+    const uint8_t byte = *p++;
+    r |= static_cast<uint64_t>(byte & 0x7f) << shift;
+    if (byte < 0x80) {
+      *v = r;
+      return true;
+    }
+  }
+  return false;
+}
+
+// Walks every node's neighbor blocks in one direction and checks what the
+// unbounded decoders take on trust: each id is < num_nodes and ascending
+// within its node, each node's varints end exactly at the next node's byte
+// offset, and — for in-blocks, when `out_edge_offsets` is given — every
+// rank is below the source's out-degree. The offset arrays must already be
+// monotone and end at the section size.
+bool BlocksWellFormed(const uint8_t* blocks, const uint64_t* edge_offsets,
+                      const uint64_t* byte_offsets, NodeId num_nodes,
+                      const uint64_t* out_edge_offsets) {
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    const uint8_t* p = blocks + byte_offsets[v];
+    const uint8_t* const end = blocks + byte_offsets[v + 1];
+    const uint64_t degree = edge_offsets[v + 1] - edge_offsets[v];
+    uint64_t prev = 0;
+    for (uint64_t i = 0; i < degree; ++i) {
+      uint64_t delta;
+      if (!ReadVarint(p, end, &delta) || delta >= num_nodes) return false;
+      const uint64_t id = (i % kBlockSize == 0) ? delta : prev + delta;
+      if (id >= num_nodes || (i > 0 && id <= prev)) return false;
+      prev = id;
+      if (out_edge_offsets != nullptr) {
+        uint64_t rank;
+        if (!ReadVarint(p, end, &rank) ||
+            rank >= out_edge_offsets[id + 1] - out_edge_offsets[id]) {
+          return false;
+        }
+      }
+    }
+    if (p != end) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 CompactGraph::~CompactGraph() { Reset(); }
@@ -216,15 +263,13 @@ GraphFileStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
     }
   }
 
-  if (options.verify_payload) {
-    uint64_t computed = kFnvBasis;
-    for (int s = 0; s < imgrf::kNumSections; ++s) {
-      computed = Fnv1a(bytes + section_offset[s], section_size[s], computed);
-    }
-    if (computed != payload_checksum) {
-      return refuse_mapped(GraphFileStatus::kCorrupt,
-                           "payload checksum mismatch (torn file?)");
-    }
+  uint64_t computed = kFnvBasis;
+  for (int s = 0; s < imgrf::kNumSections; ++s) {
+    computed = Fnv1a(bytes + section_offset[s], section_size[s], computed);
+  }
+  if (computed != payload_checksum) {
+    return refuse_mapped(GraphFileStatus::kCorrupt,
+                         "payload checksum mismatch (torn file?)");
   }
   if (options.has_expected_fingerprint &&
       fingerprint != options.expected_fingerprint) {
@@ -254,6 +299,16 @@ GraphFileStatus CompactGraph::Open(const std::string& path, CompactGraph* out,
   if (!offsets_ok) {
     return refuse_mapped(GraphFileStatus::kCorrupt,
                          "malformed offset sections");
+  }
+  // The checksums only catch accidents; a crafted file can reseal them.
+  // One pass over both block sections keeps a bad varint from steering a
+  // decoder out of bounds later.
+  if (!BlocksWellFormed(bytes + section_offset[imgrf::kOutBlocks], out_eo,
+                        out_bo, num_nodes, nullptr) ||
+      !BlocksWellFormed(bytes + section_offset[imgrf::kInBlocks], in_eo,
+                        in_bo, num_nodes, out_eo)) {
+    return refuse_mapped(GraphFileStatus::kCorrupt,
+                         "malformed neighbor blocks");
   }
 
   out->Reset();

@@ -11,7 +11,11 @@
 // the PR 3 determinism contract is untouched.
 //
 // Integrity: Open() refuses torn/truncated/foreign files via the header and
-// payload FNV-1a checksums and (optionally) an expected GraphFingerprint.
+// payload FNV-1a checksums and (optionally) an expected GraphFingerprint,
+// and walks every neighbor block once (ids in range and ascending, ranks
+// below the source's out-degree, each node's bytes ending at the next
+// node's offset), so a file with resealed checksums over bad varints is
+// refused instead of steering a decoder out of bounds.
 // The open path is a fault site (graph_file_read / graph_file_map) so chaos
 // plans can drive the im_run --keep-going degradation to edge-list loading.
 #ifndef IMBENCH_GRAPH_COMPACT_GRAPH_H_
@@ -43,10 +47,6 @@ struct AdjScratch {
 class CompactGraph {
  public:
   struct OpenOptions {
-    // Verify the payload checksum (one sequential read of the whole file).
-    // Leave on: a torn tail in a section the run never decodes would
-    // otherwise go unnoticed.
-    bool verify_payload = true;
     // When set, refuse (kMismatch) a file whose fingerprint differs —
     // the "foreign file" guard for callers that know the expected graph.
     bool has_expected_fingerprint = false;

@@ -158,11 +158,13 @@ void ImService::TopUp(const EpochGraphStore::Snapshot& snap,
       Backoff(attempt);
       continue;
     }
-    // The batched engine keeps faulting; degrade to the plain sequential
-    // sampler for the remaining tail. Same streams, same seeds — only the
-    // throughput is worse.
+    // The configured engine keeps faulting; degrade to a fresh one-lane
+    // engine for the remaining tail. It runs inline on this thread, so a
+    // persistent lane fault cannot reach it. Same streams, same seeds —
+    // only the throughput is worse.
     result->degraded = DegradeMode::kPerQuerySampler;
-    RrSampler fallback(*snap.graph, options_.kind, guard);
+    sampler_options.threads = 1;
+    RrEngine fallback(*snap.graph, sampler_options);
     fallback.SeekStream(corpus_.size());
     const RrBatchResult tail = fallback.Generate(
         options_.seed, required - corpus_.size(), corpus_);

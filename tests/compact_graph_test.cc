@@ -296,13 +296,17 @@ TEST(CompactGraphTest, OpenReportsMappedBytesToTrace) {
 
 class CorruptionTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    graph_ = AwkwardGraph(150, WeightModel::kWc);
+  void SetUp() override { Load(AwkwardGraph(150, WeightModel::kWc)); }
+
+  // Writes `graph` to the test's file and reads its bytes back.
+  void Load(Graph graph) {
+    graph_ = std::move(graph);
     path_ = TempPath("corrupt.imgrf");
     std::string error;
     ASSERT_TRUE(WriteGraphFile(graph_, WeightModel::kWc, path_, &error));
     std::FILE* f = std::fopen(path_.c_str(), "rb");
     ASSERT_NE(f, nullptr);
+    bytes_.clear();
     char buf[1 << 14];
     size_t got;
     while ((got = std::fread(buf, 1, sizeof buf, f)) > 0) {
@@ -324,11 +328,38 @@ class CorruptionTest : public ::testing::Test {
   void ForgeHeaderU64(size_t at, uint64_t value) {
     std::string forged = bytes_;
     std::memcpy(&forged[at], &value, sizeof value);
-    const uint64_t checksum = Fnv1a(
-        forged.data(), imgrf::kHeaderBytes - sizeof(uint64_t), kFnvBasis);
-    std::memcpy(&forged[imgrf::kHeaderBytes - sizeof(uint64_t)], &checksum,
-                sizeof checksum);
+    SealHeader(forged);
     Rewrite(forged);
+  }
+
+  // Rewrites the file with the byte at `section`-relative offset `at` set
+  // to `value` and both checksums resealed, so only the structural checks
+  // can refuse it.
+  void ForgeSectionByte(int section, size_t at, uint8_t value) {
+    std::string forged = bytes_;
+    forged[HeaderU64(SectionFieldAt(section, false)) + at] =
+        static_cast<char>(value);
+    uint64_t payload = kFnvBasis;
+    for (int s = 0; s < imgrf::kNumSections; ++s) {
+      payload = Fnv1a(forged.data() + HeaderU64(SectionFieldAt(s, false)),
+                      HeaderU64(SectionFieldAt(s, true)), payload);
+    }
+    std::memcpy(&forged[kPayloadChecksumAt], &payload, sizeof payload);
+    SealHeader(forged);
+    Rewrite(forged);
+  }
+
+  uint64_t HeaderU64(size_t at) const {
+    uint64_t value = 0;
+    std::memcpy(&value, &bytes_[at], sizeof value);
+    return value;
+  }
+
+  static void SealHeader(std::string& bytes) {
+    const uint64_t checksum = Fnv1a(
+        bytes.data(), imgrf::kHeaderBytes - sizeof(uint64_t), kFnvBasis);
+    std::memcpy(&bytes[imgrf::kHeaderBytes - sizeof(uint64_t)], &checksum,
+                sizeof checksum);
   }
 
   // Byte position of a header field: num_edges follows magic, version,
@@ -338,6 +369,7 @@ class CorruptionTest : public ::testing::Test {
   static size_t SectionFieldAt(int section, bool size) {
     return 40 + 16 * static_cast<size_t>(section) + (size ? 8 : 0);
   }
+  static constexpr size_t kPayloadChecksumAt = 40 + 16 * imgrf::kNumSections;
 
   Graph graph_;
   std::string path_;
@@ -415,6 +447,43 @@ TEST_F(CorruptionTest, CraftedHeaderIsRefused) {
   EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
             GraphFileStatus::kCorrupt);
   EXPECT_NE(error.find("edge count"), std::string::npos) << error;
+}
+
+TEST_F(CorruptionTest, ResealedOutOfRangeNeighborIsRefused) {
+  // 100 nodes, so a one-byte varint 0x7f decodes to id 127 >= num_nodes,
+  // and every out-degree stays below 127. Node 0's blocks start at byte 0
+  // of each block section; its first in-edge is (source, rank), one byte
+  // each.
+  Load(AwkwardGraph(100, WeightModel::kWc));
+  ASSERT_GT(graph_.InDegree(0), 0u);
+  ASSERT_GT(graph_.OutDegree(0), 0u);
+  struct Forgery {
+    int section;
+    size_t at;
+    const char* what;
+  };
+  for (const Forgery& forgery :
+       {Forgery{imgrf::kInBlocks, 0, "in-block source"},
+        Forgery{imgrf::kInBlocks, 1, "in-block rank"},
+        Forgery{imgrf::kOutBlocks, 0, "out-block target"}}) {
+    ForgeSectionByte(forgery.section, forgery.at, 0x7f);
+    CompactGraph compact;
+    std::string error;
+    EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
+              GraphFileStatus::kCorrupt)
+        << forgery.what;
+    EXPECT_NE(error.find("neighbor blocks"), std::string::npos) << error;
+  }
+  // A continuation bit on node 0's last out-block byte runs its last
+  // varint past node 1's byte offset.
+  const uint64_t node1_at = HeaderU64(
+      HeaderU64(SectionFieldAt(imgrf::kOutByteOffsets, false)) + 8);
+  ForgeSectionByte(imgrf::kOutBlocks, node1_at - 1, 0x80);
+  CompactGraph compact;
+  std::string error;
+  EXPECT_EQ(CompactGraph::Open(path_, &compact, &error),
+            GraphFileStatus::kCorrupt);
+  EXPECT_NE(error.find("neighbor blocks"), std::string::npos) << error;
 }
 
 TEST_F(CorruptionTest, ForeignFingerprintIsRefusedAsMismatch) {

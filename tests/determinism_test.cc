@@ -1,7 +1,9 @@
-// The parallel sampling engine's core contract: thread-count invariance.
-// RR corpora, seed sets and spread estimates must be bit-identical for
-// threads in {1, 2, 8}, and budget trips must stop promptly with the right
-// StopReason while still returning a deterministic prefix.
+// The RR engine's core contract: thread-count invariance. RR corpora, seed
+// sets and spread estimates must be bit-identical for threads in {1, 2, 8}
+// and equal to the per-set streams RrSampler::GenerateStream draws, fault
+// plans must truncate at the same prefix, and budget trips must stop
+// promptly with the right StopReason while still returning a deterministic
+// prefix.
 //
 // Tests inject private ThreadPool instances (threads - 1 workers) so real
 // concurrency runs even on single-core machines, where the shared pool has
@@ -9,15 +11,16 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "algorithms/imm.h"
 #include "algorithms/ris.h"
 #include "algorithms/tim_plus.h"
 #include "common/thread_pool.h"
-#include "diffusion/parallel_rr.h"
 #include "diffusion/rr_sets.h"
 #include "framework/datasets.h"
+#include "framework/fault.h"
 #include "framework/run_guard.h"
 #include "graph/compact_graph.h"
 #include "graph/graph_file.h"
@@ -42,22 +45,38 @@ std::vector<std::vector<NodeId>> CorpusOf(const RrCollection& c) {
   return sets;
 }
 
+// The reference corpus: sets 0..count-1 drawn one by one from their
+// streams. With `max_total_entries` > 0 it stops after the set whose
+// entries cross the cap, which the engine keeps.
+std::vector<std::vector<NodeId>> StreamCorpus(
+    const GraphView& g, DiffusionKind kind, uint64_t seed, uint64_t count,
+    std::vector<uint64_t>* widths = nullptr, uint64_t max_total_entries = 0) {
+  RrSampler sampler(g, kind);
+  std::vector<std::vector<NodeId>> sets;
+  std::vector<NodeId> set;
+  uint64_t entries = 0;
+  for (uint64_t i = 0; i < count; ++i) {
+    const uint64_t width = sampler.GenerateStream(seed, i, set);
+    if (widths != nullptr) widths->push_back(width);
+    sets.push_back(set);
+    entries += set.size();
+    if (max_total_entries != 0 && entries > max_total_entries) break;
+  }
+  return sets;
+}
+
 TEST(SamplingDeterminismTest, CorpusBitIdenticalAcrossThreadCounts) {
   const Graph g = WcGraph();
   constexpr uint64_t kSets = 700;  // not a multiple of the batch size
   constexpr uint64_t kSeed = 42;
 
-  SamplerOptions sequential_options;
-  RrSampler sequential(g, sequential_options);
-  RrCollection reference(g.num_nodes());
   std::vector<uint64_t> reference_widths;
-  const RrBatchResult ref_result =
-      sequential.Generate(kSeed, kSets, reference, &reference_widths);
-  ASSERT_EQ(ref_result.generated, kSets);
-  ASSERT_EQ(ref_result.stop, StopReason::kNone);
-  const auto reference_corpus = CorpusOf(reference);
+  const auto reference_corpus =
+      StreamCorpus(g, DiffusionKind::kIndependentCascade, kSeed, kSets,
+                   &reference_widths);
+  ASSERT_EQ(reference_corpus.size(), kSets);
 
-  for (const uint32_t threads : {2u, 8u}) {
+  for (const uint32_t threads : {1u, 2u, 8u}) {
     ThreadPool pool(threads - 1);
     SamplerOptions options;
     options.threads = threads;
@@ -79,9 +98,11 @@ TEST(SamplingDeterminismTest, SplitCallsMatchOneCall) {
   // must produce the same corpus as one Generate(700).
   const Graph g = WcGraph();
   SamplerOptions options;
-  RrSampler one_call(g, options);
+  RrEngine one_call(g, options);
   RrCollection whole(g.num_nodes());
   one_call.Generate(9, 700, whole, nullptr);
+  EXPECT_EQ(CorpusOf(whole),
+            StreamCorpus(g, DiffusionKind::kIndependentCascade, 9, 700));
 
   ThreadPool pool(3);
   options.threads = 4;
@@ -97,23 +118,57 @@ TEST(SamplingDeterminismTest, EntryCapTripsIdenticallyAcrossThreads) {
   // The kMemory safety valve is checked in the single-threaded merge, so
   // the truncated corpus must also be thread-count invariant.
   const Graph g = WcGraph();
-  SamplerOptions options;
-  options.max_total_entries = 500;
-  RrSampler sequential(g, options);
-  RrCollection reference(g.num_nodes());
-  const RrBatchResult ref_result =
-      sequential.Generate(7, 100000, reference, nullptr);
-  ASSERT_EQ(ref_result.stop, StopReason::kMemory);
+  const auto reference =
+      StreamCorpus(g, DiffusionKind::kIndependentCascade, 7, 100000,
+                   nullptr, /*max_total_entries=*/500);
   ASSERT_GT(reference.size(), 0u);
+  ASSERT_LT(reference.size(), 100000u);
 
-  ThreadPool pool(7);
-  options.threads = 8;
-  options.pool = &pool;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
-  RrCollection corpus(g.num_nodes());
-  const RrBatchResult result = engine->Generate(7, 100000, corpus, nullptr);
-  EXPECT_EQ(result.stop, StopReason::kMemory);
-  EXPECT_EQ(CorpusOf(corpus), CorpusOf(reference));
+  for (const uint32_t threads : {1u, 8u}) {
+    ThreadPool pool(threads - 1);
+    SamplerOptions options;
+    options.max_total_entries = 500;
+    options.threads = threads;
+    options.pool = &pool;
+    std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
+    RrCollection corpus(g.num_nodes());
+    const RrBatchResult result = engine->Generate(7, 100000, corpus, nullptr);
+    EXPECT_EQ(result.stop, StopReason::kMemory) << threads;
+    EXPECT_EQ(CorpusOf(corpus), reference) << threads;
+  }
+}
+
+TEST(SamplingDeterminismTest, ArenaFaultReplaysIdenticallyAcrossThreads) {
+  // rr_arena_grow is hit once per merged batch at every thread count, so
+  // one plan truncates every run after the same two batches with the same
+  // transient reason, and the corpus is that prefix of the streams.
+  const Graph g = WcGraph();
+  const auto reference =
+      StreamCorpus(g, DiffusionKind::kIndependentCascade, 3, 700);
+  FaultPlan plan;
+  std::string error;
+  ASSERT_TRUE(ParseFaultPlan("rr_arena_grow:hit=3:fires=1", &plan, &error))
+      << error;
+  for (const uint32_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads - 1);
+    SamplerOptions options;
+    options.threads = threads;
+    options.pool = &pool;
+    RrEngine engine(g, options);
+    RrCollection corpus(g.num_nodes());
+    RrBatchResult result;
+    {
+      ScopedFaultPlan scoped(plan);
+      result = engine.Generate(3, 700, corpus, nullptr);
+    }
+    EXPECT_EQ(result.stop, StopReason::kFault) << threads;
+    EXPECT_EQ(result.generated, 2 * RrEngine::kBatchSets) << threads;
+    EXPECT_EQ(CorpusOf(corpus),
+              std::vector<std::vector<NodeId>>(
+                  reference.begin(),
+                  reference.begin() + 2 * RrEngine::kBatchSets))
+        << threads;
+  }
 }
 
 TEST(SamplingDeterminismTest, GuardTripStopsPromptlyWithPrefixCorpus) {
@@ -130,17 +185,17 @@ TEST(SamplingDeterminismTest, GuardTripStopsPromptlyWithPrefixCorpus) {
   options.guard = &guard;
   options.threads = 4;
   options.pool = &pool;
-  ParallelRrSampler engine(g, options);
+  RrEngine engine(g, options);
   RrCollection corpus(g.num_nodes());
   const RrBatchResult result = engine.Generate(5, 100000, corpus, nullptr);
   EXPECT_EQ(result.stop, StopReason::kDeadline);
   EXPECT_TRUE(guard.stopped());  // Propagate() reached the parent guard
   EXPECT_LT(result.generated, 100000u);  // stopped long before the target
 
-  RrSampler sequential(g, DiffusionKind::kIndependentCascade);
+  RrSampler reference(g, DiffusionKind::kIndependentCascade);
   std::vector<NodeId> expected;
   for (size_t i = 0; i < corpus.size(); ++i) {
-    sequential.GenerateStream(5, i, expected);
+    reference.GenerateStream(5, i, expected);
     const auto actual = corpus.Set(i);
     ASSERT_EQ(std::vector<NodeId>(actual.begin(), actual.end()), expected)
         << i;
@@ -159,7 +214,7 @@ TEST(SamplingDeterminismTest, CancelFlagDrainsParallelGeneration) {
   options.guard = &guard;
   options.threads = 4;
   options.pool = &pool;
-  ParallelRrSampler engine(g, options);
+  RrEngine engine(g, options);
   RrCollection corpus(g.num_nodes());
   const RrBatchResult result = engine.Generate(5, 100000, corpus, nullptr);
   EXPECT_EQ(result.stop, StopReason::kCancelled);
@@ -223,12 +278,12 @@ class BackendDifferentialTest : public ::testing::Test {
 
 TEST_F(BackendDifferentialTest, SequentialCorpusIdenticalAcrossBackends) {
   SamplerOptions options;
-  RrSampler on_memory(graph_, options);
+  RrEngine on_memory(graph_, options);
   RrCollection memory_corpus(graph_.num_nodes());
   std::vector<uint64_t> memory_widths;
   on_memory.Generate(42, 700, memory_corpus, &memory_widths);
 
-  RrSampler on_compact(compact_, options);
+  RrEngine on_compact(compact_, options);
   RrCollection compact_corpus(compact_.num_nodes());
   std::vector<uint64_t> compact_widths;
   on_compact.Generate(42, 700, compact_corpus, &compact_widths);
@@ -250,10 +305,10 @@ TEST_F(BackendDifferentialTest, LtCorpusIdenticalAcrossBackends) {
 
   SamplerOptions options;
   options.kind = DiffusionKind::kLinearThreshold;
-  RrSampler on_memory(lt_graph, options);
+  RrEngine on_memory(lt_graph, options);
   RrCollection memory_corpus(lt_graph.num_nodes());
   on_memory.Generate(11, 400, memory_corpus, nullptr);
-  RrSampler on_compact(lt_compact, options);
+  RrEngine on_compact(lt_compact, options);
   RrCollection compact_corpus(lt_compact.num_nodes());
   on_compact.Generate(11, 400, compact_corpus, nullptr);
   EXPECT_EQ(CorpusOf(compact_corpus), CorpusOf(memory_corpus));
@@ -308,19 +363,20 @@ TEST(SamplingDeterminismTest, RisSeedsInvariantUnderThreads) {
 TEST(SamplingDeterminismTest, LtCorpusInvariantUnderThreads) {
   Graph g = MakeDataset("nethept", DatasetScale::kTiny);
   AssignLtUniform(g);
-  SamplerOptions options;
-  options.kind = DiffusionKind::kLinearThreshold;
-  RrSampler sequential(g, options);
-  RrCollection reference(g.num_nodes());
-  sequential.Generate(11, 400, reference, nullptr);
+  const auto reference =
+      StreamCorpus(g, DiffusionKind::kLinearThreshold, 11, 400);
 
-  ThreadPool pool(7);
-  options.threads = 8;
-  options.pool = &pool;
-  std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
-  RrCollection corpus(g.num_nodes());
-  engine->Generate(11, 400, corpus, nullptr);
-  EXPECT_EQ(CorpusOf(corpus), CorpusOf(reference));
+  for (const uint32_t threads : {1u, 8u}) {
+    ThreadPool pool(threads - 1);
+    SamplerOptions options;
+    options.kind = DiffusionKind::kLinearThreshold;
+    options.threads = threads;
+    options.pool = &pool;
+    std::unique_ptr<RrEngine> engine = MakeRrEngine(g, options);
+    RrCollection corpus(g.num_nodes());
+    engine->Generate(11, 400, corpus, nullptr);
+    EXPECT_EQ(CorpusOf(corpus), reference) << threads;
+  }
 }
 
 TEST(RrCollectionTest, TruncateToUnwindsInvertedIndex) {

@@ -132,9 +132,11 @@ TEST(OracleTest, RrEstimatorMatchesExactSpread) {
     const double exact = ExactSpread(graph, kind, seeds);
 
     const uint64_t kSets = 20000;
-    RrSampler sampler(graph, kind);
+    SamplerOptions options;
+    options.kind = kind;
+    RrEngine engine(graph, options);
     RrCollection collection(graph.num_nodes());
-    const RrBatchResult batch = sampler.Generate(17, kSets, collection);
+    const RrBatchResult batch = engine.Generate(17, kSets, collection);
     ASSERT_EQ(batch.generated, kSets);
 
     uint64_t hits = 0;

@@ -132,9 +132,9 @@ TEST(RrLayoutTest, AppendBatchMatchesPerSetAppend) {
 }
 
 TEST(RrLayoutTest, TruncateAcrossParallelBatchBoundaries) {
-  // Generate through the parallel engine (64-set batches spliced
+  // Generate through the engine on four lanes (64-set batches spliced
   // block-wise), truncate to a size that lands mid-batch, and verify the
-  // survivor arena against the sequential engine set by set — then keep
+  // survivor arena against per-set streams one by one — then keep
   // appending to prove the arena recovers from a rollback.
   const Graph g = WcGraph();
   ThreadPool pool(3);
@@ -148,11 +148,11 @@ TEST(RrLayoutTest, TruncateAcrossParallelBatchBoundaries) {
   corpus.TruncateTo(131);  // 131 = 2*64 + 3: inside the third batch
   ASSERT_EQ(corpus.size(), 131u);
 
-  RrSampler sequential(g, DiffusionKind::kIndependentCascade);
+  RrSampler reference(g, DiffusionKind::kIndependentCascade);
   std::vector<NodeId> expected;
   uint64_t expected_entries = 0;
   for (size_t i = 0; i < corpus.size(); ++i) {
-    sequential.GenerateStream(13, i, expected);
+    reference.GenerateStream(13, i, expected);
     expected_entries += expected.size();
     const auto actual = corpus.Set(i);
     ASSERT_EQ(std::vector<NodeId>(actual.begin(), actual.end()), expected)

@@ -25,7 +25,7 @@ namespace {
 constexpr uint64_t kSeed = 29;
 
 // Cold reference: sample θ(n, k, ε) sets from scratch on `graph` and cover
-// them — what a one-shot run would serve. Sequential; the engines are
+// them — what a one-shot run would serve. One lane; the engine is
 // thread-count invariant, so one reference suffices for every service
 // thread count.
 std::vector<NodeId> ColdSeeds(const Graph& graph, DiffusionKind kind,
@@ -35,7 +35,8 @@ std::vector<NodeId> ColdSeeds(const Graph& graph, DiffusionKind kind,
       ImService::RequiredSets(graph.num_nodes(), k, epsilon);
   SamplerOptions options;
   options.kind = kind;
-  RrSampler engine(graph, options);
+  options.threads = 1;
+  RrEngine engine(graph, options);
   RrCollection corpus(graph.num_nodes());
   engine.Generate(kSeed, required, corpus);
   std::vector<NodeId> seeds =

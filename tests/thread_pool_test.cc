@@ -20,11 +20,13 @@ TEST(ThreadPoolTest, WorkerCount) {
 }
 
 TEST(ThreadPoolTest, SubmitRunsEveryTask) {
-  ThreadPool pool(4);
   constexpr int kTasks = 200;
   std::atomic<int> done{0};
   std::mutex mutex;
   std::condition_variable cv;
+  // Declared after what the tasks touch, so its destructor joins the
+  // workers before the mutex and condition variable go away.
+  ThreadPool pool(4);
   for (int i = 0; i < kTasks; ++i) {
     pool.Submit([&] {
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == kTasks) {

@@ -14,6 +14,9 @@
 #include "diffusion/spread.h"
 #include "framework/memory.h"
 #include "framework/registry.h"
+#include "graph/compact_graph.h"
+#include "graph/graph_file.h"
+#include "graph/graph_view.h"
 #include "graph/weights.h"
 
 namespace imbench {
@@ -199,12 +202,13 @@ Graph DeterminismGraph() {
 
 // One driver-shaped run: selection (the algorithm's own spans) plus the
 // decoupled MC evaluation, everything recorded in a fresh trace.
-std::string RunTraced(const Graph& graph, const char* algorithm,
+std::string RunTraced(const GraphView& graph, const char* algorithm,
                       uint32_t threads) {
   Trace trace;
   std::unique_ptr<ImAlgorithm> instance = MakeAlgorithm(algorithm);
   SelectionInput input;
-  input.graph = &graph;
+  input.graph = graph.memory_graph();
+  input.compact = graph.compact_graph();
   input.diffusion = DiffusionKind::kIndependentCascade;
   input.k = 5;
   input.seed = 11;
@@ -232,6 +236,27 @@ TEST(TraceDeterminismTest, ImmPhaseBreakdownIdenticalAcrossThreadCounts) {
   EXPECT_NE(sequential.find("\"sample\""), std::string::npos);
   EXPECT_NE(sequential.find("\"select\""), std::string::npos);
   EXPECT_NE(sequential.find("\"evaluate\""), std::string::npos);
+}
+
+TEST(TraceDeterminismTest, ImmOnCompactGraphIdenticalAcrossThreadCounts) {
+  // On the mmap'd backend the trace also counts decoded neighbor blocks;
+  // the engine adds them for the merged prefix only, at every lane count.
+  const std::string path = ::testing::TempDir() + "/trace_determinism.imgrf";
+  std::string error;
+  ASSERT_TRUE(
+      WriteGraphFile(DeterminismGraph(), WeightModel::kWc, path, &error))
+      << error;
+  CompactGraph compact;
+  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
+      << error;
+  const std::string sequential = RunTraced(compact, "IMM", 1);
+  EXPECT_EQ(RunTraced(compact, "IMM", 2), sequential);
+  EXPECT_EQ(RunTraced(compact, "IMM", 8), sequential);
+  const std::string key = "\"neighbor_blocks_decoded\": ";
+  const size_t at = sequential.find(key);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_GT(std::stoull(sequential.substr(at + key.size())), 0u);
+  std::remove(path.c_str());
 }
 
 TEST(TraceDeterminismTest, TimPlusPhaseBreakdownIdenticalAcrossThreadCounts) {
