@@ -160,9 +160,9 @@ int main(int argc, char** argv) {
       ImRank imrank_corrected(corrected);
       const CellResult good =
           bench.RunCell(imrank_corrected, *dataset, WeightModel::kWc, k);
+      const int rounds = static_cast<int>(TraceCounter::kScoringRounds);
       table.AddRow({TextTable::Int(k), SpreadCell(bad),
-                    TextTable::Int(static_cast<int64_t>(
-                        bad.counters.scoring_rounds)),
+                    TextTable::Int(static_cast<int64_t>(bad.counters[rounds])),
                     SpreadCell(good)});
     }
     EmitTable(table, *common.csv);

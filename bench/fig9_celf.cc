@@ -65,11 +65,12 @@ int main(int argc, char** argv) {
       celf_total += celf.select_seconds;
       celfpp_total += celfpp.select_seconds;
       const double k_d = static_cast<double>(*k_runs);
+      const int lookups = static_cast<int>(TraceCounter::kNodeLookups);
       table.AddRow(
           {TextTable::Int(run + 1), TextTable::Secs(celf.select_seconds),
            TextTable::Secs(celfpp.select_seconds),
-           TextTable::Num(celf.counters.spread_evaluations / k_d, 1),
-           TextTable::Num(celfpp.counters.spread_evaluations / k_d, 1)});
+           TextTable::Num(celf.counters[lookups] / k_d, 1),
+           TextTable::Num(celfpp.counters[lookups] / k_d, 1)});
     }
     EmitTable(table, *common.csv);
     std::printf("mean: CELF %.2fs vs CELF++ %.2fs (M1: no 35%% speedup)\n\n",

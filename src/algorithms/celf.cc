@@ -26,7 +26,6 @@ SelectionResult Celf::Select(const SelectionInput& input) {
   auto marginal_gain = [&](NodeId v) {
     candidate = seeds;
     candidate.push_back(v);
-    CountSimulations(input.counters, options_.simulations);
     const SpreadEstimate estimate =
         EstimateSpread(graph, input.diffusion, candidate, mc);
     return estimate.mean - current_spread;
@@ -36,7 +35,6 @@ SelectionResult Celf::Select(const SelectionInput& input) {
     candidate.push_back(v);
     // Re-estimate σ(S) once per selection so gains stay anchored; cheaper
     // than storing each candidate's absolute spread.
-    CountSimulations(input.counters, options_.simulations);
     current_spread =
         EstimateSpread(graph, input.diffusion, candidate, mc).mean;
     seeds.push_back(v);
@@ -44,8 +42,7 @@ SelectionResult Celf::Select(const SelectionInput& input) {
   {
     Span select_span(input.trace, "select");
     result.seeds = CelfSelect(graph.num_nodes(), input.k, marginal_gain,
-                              commit, input.counters, input.guard,
-                              input.trace);
+                              commit, input.guard, input.trace);
   }
   result.stop_reason = GuardReason(input.guard);
   result.internal_spread_estimate = current_spread;

@@ -62,7 +62,6 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
       }
       ++done;
     }
-    CountSimulations(input.counters, done);
     TraceAdd(input.trace, TraceCounter::kSimulations, done);
     // Normalize by the simulations that actually ran so a truncated batch
     // still yields an unbiased (just noisier) estimate.
@@ -78,7 +77,6 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
   for (NodeId v = 0; v < graph.num_nodes(); ++v) {
     TraceAdd(input.trace, TraceCounter::kGuardPolls);
     if (GuardShouldStop(input.guard)) break;
-    CountSpreadEvaluation(input.counters);
     TraceAdd(input.trace, TraceCounter::kNodeLookups);
     const bool with_best = cur_best != kInvalidNode;
     double spread_v = 0, spread_v_best = 0;
@@ -110,7 +108,6 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
       // selected gains: the max of noisy estimates is biased upward, and
       // letting that bias build up deflates every subsequent re-evaluated
       // gain, degrading the lazy queue into near-exhaustive search.
-      CountSimulations(input.counters, options_.simulations);
       TraceAdd(input.trace, TraceCounter::kSimulations, options_.simulations);
       candidate = seeds;
       double sum = 0;
@@ -127,7 +124,6 @@ SelectionResult CelfPlusPlus::Select(const SelectionInput& input) {
       // no simulations needed (the saving CELF++ banks on).
       top.mg1 = top.mg2;
     } else {
-      CountSpreadEvaluation(input.counters);
       TraceAdd(input.trace, TraceCounter::kNodeLookups);
       TraceAdd(input.trace, TraceCounter::kQueueReevaluations);
       const bool with_best = cur_best != kInvalidNode;

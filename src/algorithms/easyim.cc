@@ -50,7 +50,6 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
       prev.swap(score);
     }
     score.swap(prev);
-    if (input.counters != nullptr) ++input.counters->scoring_rounds;
     TraceAdd(input.trace, TraceCounter::kScoringRounds);
   };
 
@@ -101,9 +100,7 @@ SelectionResult EasyIm::Select(const SelectionInput& input) {
         if (GuardShouldStop(input.guard)) break;
         with_candidate = result.seeds;
         with_candidate.push_back(v);
-        CountSpreadEvaluation(input.counters);
         TraceAdd(input.trace, TraceCounter::kNodeLookups);
-        CountSimulations(input.counters, options_.simulations);
         const SpreadEstimate est =
             EstimateSpread(graph, input.diffusion, with_candidate, mc);
         if (est.mean > best_spread) {

@@ -33,9 +33,7 @@ SelectionResult Greedy::Select(const SelectionInput& input) {
       if (already_seed) continue;
       candidate = result.seeds;
       candidate.push_back(v);
-      CountSpreadEvaluation(input.counters);
       TraceAdd(input.trace, TraceCounter::kNodeLookups);
-      CountSimulations(input.counters, options_.simulations);
       const SpreadEstimate estimate =
           EstimateSpread(graph, input.diffusion, candidate, mc);
       const double gain = estimate.mean - current_spread;

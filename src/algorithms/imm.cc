@@ -59,7 +59,6 @@ SelectionResult Imm::Select(const SelectionInput& input) {
     }
     const RrBatchResult batch =
         engine->Generate(input.seed, target - sets.size(), sets, nullptr);
-    if (input.counters != nullptr) input.counters->rr_sets += batch.generated;
     TraceAdd(input.trace, TraceCounter::kRrSets, batch.generated);
     stop = batch.stop;
   };

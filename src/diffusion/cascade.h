@@ -50,8 +50,9 @@ class CascadeContext {
   NodeId Continue(const GraphView& graph, DiffusionKind kind,
                   std::span<const NodeId> extra_seeds, Rng& rng);
 
-  // Compressed blocks decoded since the last call; flushed to the trace at
-  // sequential estimator sites only (thread-count invariance).
+  // Compressed blocks decoded since the last call (always 0 on the heap
+  // backend). The parallel estimator takes it after every simulation so
+  // its trace counts the kept prefix only (thread-count invariance).
   uint64_t TakeBlocksDecoded() {
     const uint64_t n = scratch_.blocks_decoded;
     scratch_.blocks_decoded = 0;

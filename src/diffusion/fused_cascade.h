@@ -29,6 +29,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -64,6 +65,14 @@ class FusedCascadeContext {
 
   // The per-block key all in-block streams derive from.
   static uint64_t BlockSeed(uint64_t seed, uint64_t block);
+
+  // Compressed neighbor blocks decoded since the last call (always 0 on
+  // the heap backend). The parallel estimator takes it after every block
+  // so its trace counts the kept prefix only.
+  uint64_t TakeBlocksDecoded() {
+    return std::exchange(out_scratch_.blocks_decoded, 0) +
+           std::exchange(in_scratch_.blocks_decoded, 0);
+  }
 
  private:
   void RunBlockIc(std::span<const NodeId> seeds, uint64_t block_seed,

@@ -10,17 +10,6 @@
 #include "framework/trace.h"
 
 namespace imbench {
-namespace {
-
-// Corpus size at which GreedyMaxCover switches from the lazy max-heap to
-// the exact degree-bucket variant. Below this the heap's log factor is
-// noise and its smaller working set wins; above it the bucket variant's
-// O(n + D + decrements) walk over contiguous arrays is strictly cheaper.
-// Both variants produce identical seeds, so the threshold is purely a
-// performance knob (and deterministic: size() never depends on threads).
-constexpr size_t kDegreeBucketThreshold = 4096;
-
-}  // namespace
 
 RrSampler::RrSampler(const GraphView& graph, DiffusionKind kind,
                      RunGuard* guard)
@@ -454,41 +443,12 @@ std::vector<NodeId> RrCollection::GreedyMaxCover(
   return GreedyMaxCoverPrefix(k, size(), covered_fraction);
 }
 
-std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
-    uint32_t k, size_t limit, double* covered_fraction) const {
-  limit = std::min(limit, size());
-  EnsureInvertedIndex();
-  // Dispatch on the number of sets actually covered: a warm corpus grown
-  // far past this query's θ should not push a small query onto the
-  // large-corpus path.
-  return limit >= kDegreeBucketThreshold
-             ? CoverDegreeBuckets(k, limit, covered_fraction)
-             : CoverLazyHeap(k, limit, covered_fraction);
-}
-
-namespace {
-
-// Shared tail of both cover variants: when every set is covered before k
-// picks, fill the remaining slots with unchosen nodes so the result always
-// has k seeds (matches the reference implementations).
-void PadSeeds(NodeId num_nodes, uint32_t k, std::vector<uint8_t>& chosen,
-              std::vector<NodeId>& seeds) {
-  for (NodeId v = 0; v < num_nodes && seeds.size() < k; ++v) {
-    if (!chosen[v]) {
-      chosen[v] = 1;
-      seeds.push_back(v);
-    }
-  }
-}
-
-}  // namespace
-
 uint32_t RrCollection::PrefixDegree(NodeId v, size_t limit) const {
   // Each node's inverted-index slice lists set ids in increasing order, so
   // the ids below `limit` form a prefix of the slice. An empty prefix must
   // short-circuit: `limit - 1` would wrap to UINT32_MAX and report the
   // whole-corpus degree, making a limit-0 cover pick by corpus degree
-  // instead of degrading to the PadSeeds order.
+  // instead of degrading to the padding order.
   if (limit == 0) return 0;
   const auto begin = inv_sets_.begin() + inv_offsets_[v];
   const auto end = inv_sets_.begin() + inv_offsets_[v + 1];
@@ -497,85 +457,17 @@ uint32_t RrCollection::PrefixDegree(NodeId v, size_t limit) const {
       std::upper_bound(begin, end, static_cast<uint32_t>(limit - 1)) - begin);
 }
 
-std::vector<NodeId> RrCollection::CoverLazyHeap(
+std::vector<NodeId> RrCollection::GreedyMaxCoverPrefix(
     uint32_t k, size_t limit, double* covered_fraction) const {
-  // Counting greedy with lazy decrement: degree[v] = #uncovered sets among
-  // the first `limit` that contain v, read off the inverted-index slice
-  // prefix. Every inner loop below walks a contiguous span of one of the
-  // two arenas.
-  std::vector<uint32_t> degree(num_nodes_, 0);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    degree[v] = PrefixDegree(v, limit);
-  }
-  std::vector<uint8_t> covered(limit, 0);
-  std::vector<uint8_t> chosen(num_nodes_, 0);
-
-  // Lazy priority queue of (stale degree, node); ties resolve to the
-  // largest node id (the pair comparison), which the bucket variant
-  // reproduces exactly.
-  std::vector<std::pair<uint32_t, NodeId>> heap;
-  heap.reserve(num_nodes_);
-  for (NodeId v = 0; v < num_nodes_; ++v) {
-    if (degree[v] > 0) heap.emplace_back(degree[v], v);
-  }
-  std::make_heap(heap.begin(), heap.end());
-
-  std::vector<NodeId> seeds;
-  seeds.reserve(k);
-  uint64_t covered_count = 0;
-  while (seeds.size() < k) {
-    NodeId best = kInvalidNode;
-    while (!heap.empty()) {
-      auto [stale_degree, v] = heap.front();
-      std::pop_heap(heap.begin(), heap.end());
-      heap.pop_back();
-      if (chosen[v]) continue;
-      if (stale_degree != degree[v]) {
-        // Entry went stale; reinsert with the true degree.
-        if (degree[v] > 0) {
-          heap.emplace_back(degree[v], v);
-          std::push_heap(heap.begin(), heap.end());
-        }
-        continue;
-      }
-      best = v;
-      break;
-    }
-    if (best == kInvalidNode) {
-      PadSeeds(num_nodes_, k, chosen, seeds);
-      break;
-    }
-    chosen[best] = 1;
-    seeds.push_back(best);
-    for (uint64_t j = inv_offsets_[best]; j < inv_offsets_[best + 1]; ++j) {
-      const uint32_t set_id = inv_sets_[j];
-      if (set_id >= limit) break;  // slice is ascending; rest is past limit
-      if (covered[set_id]) continue;
-      covered[set_id] = 1;
-      ++covered_count;
-      const uint64_t end = set_offsets_[set_id + 1];
-      for (uint64_t i = set_offsets_[set_id]; i < end; ++i) {
-        --degree[members_[i]];
-      }
-    }
-  }
-  if (covered_fraction != nullptr) {
-    *covered_fraction = limit == 0 ? 0.0
-                                   : static_cast<double>(covered_count) /
-                                         static_cast<double>(limit);
-  }
-  return seeds;
-}
-
-std::vector<NodeId> RrCollection::CoverDegreeBuckets(
-    uint32_t k, size_t limit, double* covered_fraction) const {
-  // Exact greedy over lazily-maintained degree buckets: bucket[d] holds
-  // candidate nodes last seen at degree d. Degrees only decrease, so a
-  // cursor sweeps from the top bucket downward and never backs up; a node
+  limit = std::min(limit, size());
+  EnsureInvertedIndex();
+  // Exact greedy over lazily-maintained degree buckets: degree[v] =
+  // #uncovered sets among the first `limit` that contain v, and bucket[d]
+  // holds candidate nodes last seen at degree d. Degrees only decrease, so
+  // a cursor sweeps from the top bucket downward and never backs up; a node
   // found below its bucket is moved down (each node moves monotonically,
   // so total moves are bounded by total degree decrements). Selection
-  // takes the largest node id in the highest non-empty bucket — the exact
-  // tie-break the lazy heap's pair ordering yields.
+  // takes the largest node id in the highest non-empty bucket.
   std::vector<uint32_t> degree(num_nodes_, 0);
   uint32_t max_degree = 0;
   for (NodeId v = 0; v < num_nodes_; ++v) {
@@ -615,7 +507,15 @@ std::vector<NodeId> RrCollection::CoverDegreeBuckets(
       --cur;
     }
     if (best == kInvalidNode) {
-      PadSeeds(num_nodes_, k, chosen, seeds);
+      // Every set is covered before k picks: fill the remaining slots with
+      // unchosen nodes so the result always has k seeds (matches the
+      // reference implementations).
+      for (NodeId v = 0; v < num_nodes_ && seeds.size() < k; ++v) {
+        if (!chosen[v]) {
+          chosen[v] = 1;
+          seeds.push_back(v);
+        }
+      }
       break;
     }
     chosen[best] = 1;

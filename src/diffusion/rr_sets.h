@@ -53,9 +53,8 @@ class Trace;
 //     of every appended set to kRrEdgesExamined and
 //     kNeighborBlocksDecoded, always from the coordinating thread and only
 //     for the merged prefix, so the totals are thread-count-invariant.
-//     Callers bump kRrSets themselves alongside Counters::rr_sets (RIS may
-//     truncate a chunk after generation, and only the caller knows the
-//     kept count).
+//     Callers bump kRrSets themselves (RIS may truncate a chunk after
+//     generation, and only the caller knows the kept count).
 //   * `seed` is unused here: the stream base is an explicit argument of
 //     every Generate() call, because one engine may serve several corpora.
 struct SamplerOptions : CommonRunOptions {
@@ -184,8 +183,8 @@ class RrEngine {
   // (the width counter used by TIM+'s KPT estimation and RIS's budget).
   // On a guard trip or entry-cap hit the appended sets form a prefix of
   // the deterministic set sequence and `stop` carries the reason; callers
-  // bump Counters::rr_sets by `generated`, which keeps counts exact
-  // without any atomics on the generation hot path.
+  // add `generated` to kRrSets, which keeps counts exact without any
+  // atomics on the generation hot path.
   RrBatchResult Generate(uint64_t seed, uint64_t count, RrCollection& out,
                          std::vector<uint64_t>* widths = nullptr);
 
@@ -336,10 +335,9 @@ class RrCollection {
   // Greedy max cover: picks k nodes maximizing the number of covered sets.
   // Returns the seeds and writes the covered fraction (coverage / size())
   // to `covered_fraction` if non-null. The arenas are left unmodified (the
-  // inverted-index cache may be built). Two internal variants produce the
-  // same seeds — ties always break to the largest node id — and are picked
-  // by corpus size: a lazy max-heap for small corpora, exact degree
-  // buckets (O(n + D + decrements), no log factor) for large ones.
+  // inverted-index cache may be built). Ties break to the largest node id;
+  // the walk over exact degree buckets costs O(n + D + decrements), with no
+  // log factor.
   std::vector<NodeId> GreedyMaxCover(uint32_t k,
                                      double* covered_fraction = nullptr) const;
 
@@ -360,12 +358,6 @@ class RrCollection {
 
   // Number of sets with id < limit containing v (prefix of v's slice).
   uint32_t PrefixDegree(NodeId v, size_t limit) const;
-
-  // Both variants cover only set ids < limit (the prefix restriction).
-  std::vector<NodeId> CoverLazyHeap(uint32_t k, size_t limit,
-                                    double* covered_fraction) const;
-  std::vector<NodeId> CoverDegreeBuckets(uint32_t k, size_t limit,
-                                         double* covered_fraction) const;
 
   NodeId num_nodes_;
   std::vector<NodeId> members_;        // all sets, back to back

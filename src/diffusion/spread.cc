@@ -82,6 +82,7 @@ SpreadEstimate EstimateParallel(const GraphView& graph, DiffusionKind kind,
 
   // -1 marks "not run" so a guard trip yields a clean prefix below.
   std::vector<int64_t> samples(options.simulations, -1);
+  std::vector<uint64_t> blocks(options.simulations, 0);
   pool.ParallelFor(
       options.simulations, lanes, [&](uint64_t i, uint32_t lane) {
         if (stop_state.aborted()) return;
@@ -92,19 +93,25 @@ SpreadEstimate EstimateParallel(const GraphView& graph, DiffusionKind kind,
         }
         Rng rng = Rng::ForStream(options.seed, i);
         samples[i] = contexts[lane]->Simulate(graph, kind, seeds, rng);
+        blocks[i] = contexts[lane]->TakeBlocksDecoded();
       });
   stop_state.Propagate();
 
   // Aggregate the completed prefix in index order. On a full run this is
   // all simulations and the result matches the sequential path bit for
   // bit; on a trip it is the longest prefix with no gaps, mirroring the
-  // sequential path's early break.
+  // sequential path's early break. Its decoded blocks are counted here, on
+  // the coordinating thread.
   std::vector<NodeId> prefix;
   prefix.reserve(options.simulations);
+  uint64_t blocks_decoded = 0;
   for (uint32_t i = 0; i < options.simulations; ++i) {
     if (samples[i] < 0) break;
     prefix.push_back(static_cast<NodeId>(samples[i]));
+    blocks_decoded += blocks[i];
   }
+  TraceAdd(options.trace, TraceCounter::kNeighborBlocksDecoded,
+           blocks_decoded);
   return Aggregate(prefix);
 }
 
@@ -136,6 +143,9 @@ SpreadEstimate EstimateFusedSequential(const GraphView& graph, DiffusionKind kin
     samples.insert(samples.end(), gamma, gamma + lanes);
     ++*completed_blocks;
   }
+  // Sequential site: this context's decode count is thread-invariant.
+  TraceAdd(options.trace, TraceCounter::kNeighborBlocksDecoded,
+           context.TakeBlocksDecoded());
   return Aggregate(samples);
 }
 
@@ -153,6 +163,7 @@ SpreadEstimate EstimateFusedParallel(const GraphView& graph, DiffusionKind kind,
 
   std::vector<NodeId> gammas(options.simulations);
   std::vector<uint8_t> block_done(blocks, 0);
+  std::vector<uint64_t> block_decoded(blocks, 0);
   pool.ParallelFor(blocks, lanes, [&](uint64_t block, uint32_t lane) {
     if (stop_state.aborted()) return;
     RunGuard& guard = lane_guards[lane];
@@ -166,22 +177,28 @@ SpreadEstimate EstimateFusedParallel(const GraphView& graph, DiffusionKind kind,
     contexts[lane]->RunBlock(kind, seeds, options.seed, block,
                              BlockLanes(block, options.simulations),
                              &gammas[block * kFusedLanes]);
+    block_decoded[block] = contexts[lane]->TakeBlocksDecoded();
     block_done[block] = 1;
   });
   stop_state.Propagate();
 
   // Aggregate the longest gapless prefix of completed blocks in index
   // order — bit-identical to the sequential fused path for any thread
-  // count, and block-aligned on a trip just like its early break.
+  // count, and block-aligned on a trip just like its early break. Its
+  // decoded neighbor blocks are counted here, on the coordinating thread.
   std::vector<NodeId> prefix;
   prefix.reserve(options.simulations);
+  uint64_t blocks_decoded = 0;
   for (uint64_t block = 0; block < blocks; ++block) {
     if (block_done[block] == 0) break;
     const uint32_t block_lanes = BlockLanes(block, options.simulations);
     const NodeId* begin = &gammas[block * kFusedLanes];
     prefix.insert(prefix.end(), begin, begin + block_lanes);
+    blocks_decoded += block_decoded[block];
     ++*completed_blocks;
   }
+  TraceAdd(options.trace, TraceCounter::kNeighborBlocksDecoded,
+           blocks_decoded);
   return Aggregate(prefix);
 }
 

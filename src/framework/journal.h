@@ -6,8 +6,9 @@
 // tab-separated text file: human-greppable, append-only, and tolerant of a
 // torn final line (a crash mid-write loses at most that one cell).
 //
-// Counters are intentionally not journaled: they describe how a run was
-// produced, not its result, and replayed cells report zero counters.
+// Work counters (CellResult::counters, the trace deltas of selection) are
+// intentionally not journaled: they describe how a run was produced, not
+// its result, and replayed cells report zero counters.
 #ifndef IMBENCH_FRAMEWORK_JOURNAL_H_
 #define IMBENCH_FRAMEWORK_JOURNAL_H_
 

@@ -42,11 +42,10 @@ enum class TraceCounter : uint8_t {
   kRrEdgesExamined,     // edges traversed while growing those sets
   kSimulations,         // Monte Carlo cascade simulations
   kNodeLookups,         // marginal-gain / score evaluations of a candidate
-                        // node (the Appendix C "node lookups" metric;
-                        // matches Counters::spread_evaluations)
+                        // node (the Appendix C "node lookups" metric)
   kQueueReevaluations,  // stale lazy-queue entries recomputed
   kSnapshots,           // snapshot subgraphs materialized (SG/PMC)
-  kScoringRounds,       // full scoring sweeps (IMRank/EaSyIM/IRIE)
+  kScoringRounds,       // full scoring sweeps (IMRank/EaSyIM/IRIE/PageRank)
   kGuardPolls,          // RunGuard::ShouldStop() polls at sequential sites
   kRrSetsRepaired,      // warm-corpus sets regenerated after a mutation
   kRrSetsReused,        // warm-corpus sets served without resampling
@@ -55,10 +54,10 @@ enum class TraceCounter : uint8_t {
   kBnbNodesExpanded,    // branch-and-bound search-tree nodes expanded
   kBnbPruned,           // B&B subtrees pruned by the submodular bound
   kGraphBytesMapped,    // bytes of .imgrf files mapped (CompactGraph::Open)
-  kNeighborBlocksDecoded,  // compressed 64-neighbor blocks decoded, counted
-                           // at sequential/coordinating sites only (parallel
-                           // lanes drop their counts to keep traces
-                           // thread-count invariant; see graph_view.h)
+  kNeighborBlocksDecoded,  // compressed 64-neighbor blocks decoded; parallel
+                           // lanes record per-item counts that the
+                           // coordinating thread sums over the kept prefix,
+                           // so traces stay thread-count invariant
 };
 inline constexpr int kNumTraceCounters = 16;
 
@@ -94,6 +93,7 @@ class Trace {
   uint64_t Total(TraceCounter counter) const {
     return totals_[static_cast<int>(counter)];
   }
+  const TraceCounterArray& totals() const { return totals_; }
 
   // Records a run-level key/value annotation ("mc_engine": "fused", ...).
   // Re-annotating a key overwrites its value. Annotations are emitted as a
@@ -164,7 +164,7 @@ class Span {
   int32_t id_;
 };
 
-// Null-tolerant counter bump, mirroring CountSpreadEvaluation().
+// Null-tolerant counter bump.
 inline void TraceAdd(Trace* trace, TraceCounter counter, uint64_t n = 1) {
   if (trace != nullptr && n != 0) trace->Add(counter, n);
 }

@@ -3,19 +3,20 @@
 #include "algorithms/celf.h"
 #include "algorithms/celfpp.h"
 #include "algorithms/greedy.h"
+#include "framework/trace.h"
 #include "tests/test_util.h"
 
 namespace imbench {
 namespace {
 
-SelectionInput InputFor(const Graph& graph, uint32_t k, Counters* counters,
+SelectionInput InputFor(const Graph& graph, uint32_t k, Trace* trace,
                         DiffusionKind kind = DiffusionKind::kIndependentCascade) {
   SelectionInput input;
   input.graph = &graph;
   input.diffusion = kind;
   input.k = k;
   input.seed = 11;
-  input.counters = counters;
+  input.trace = trace;
   return input;
 }
 
@@ -49,13 +50,13 @@ TEST(CelfTest, MatchesGreedySeedsOnDeterministicGraph) {
 
 TEST(CelfTest, LazyEvaluationSavesLookups) {
   Graph g = testutil::HubGraph();
-  Counters greedy_counters, celf_counters;
+  Trace greedy_trace, celf_trace;
   Greedy greedy(GreedyOptions{100});
   Celf celf(CelfOptions{100});
-  greedy.Select(InputFor(g, 3, &greedy_counters));
-  celf.Select(InputFor(g, 3, &celf_counters));
-  EXPECT_LT(celf_counters.spread_evaluations,
-            greedy_counters.spread_evaluations);
+  greedy.Select(InputFor(g, 3, &greedy_trace));
+  celf.Select(InputFor(g, 3, &celf_trace));
+  EXPECT_LT(celf_trace.Total(TraceCounter::kNodeLookups),
+            greedy_trace.Total(TraceCounter::kNodeLookups));
 }
 
 TEST(CelfPlusPlusTest, PicksTheHubFirst) {
@@ -79,16 +80,17 @@ TEST(CelfPlusPlusTest, NodeLookupsAtMostCelf) {
   // On deterministic graphs the pre-emption always hits, so lookups must
   // not exceed CELF's.
   Graph g = testutil::TwoStars(1.0);
-  Counters celf_counters, celfpp_counters;
+  Trace celf_trace, celfpp_trace;
   Celf celf(CelfOptions{100});
   CelfPlusPlus celfpp(CelfPlusPlusOptions{100});
-  celf.Select(InputFor(g, 3, &celf_counters));
-  celfpp.Select(InputFor(g, 3, &celfpp_counters));
-  EXPECT_LE(celfpp_counters.spread_evaluations,
-            celf_counters.spread_evaluations + 1);
+  celf.Select(InputFor(g, 3, &celf_trace));
+  celfpp.Select(InputFor(g, 3, &celfpp_trace));
+  EXPECT_LE(celfpp_trace.Total(TraceCounter::kNodeLookups),
+            celf_trace.Total(TraceCounter::kNodeLookups) + 1);
   // ...while running strictly more simulations per lookup (the extra mg2
   // work that makes it no faster in practice).
-  EXPECT_GE(celfpp_counters.simulations, celf_counters.simulations / 2);
+  EXPECT_GE(celfpp_trace.Total(TraceCounter::kSimulations),
+            celf_trace.Total(TraceCounter::kSimulations) / 2);
 }
 
 TEST(CelfFamilyTest, SimilarSpreadAcrossVariants) {

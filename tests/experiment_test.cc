@@ -207,14 +207,28 @@ TEST(WorkbenchTest, ExplicitInstanceOverload) {
   const CellResult result =
       bench.RunCell(imrank, "nethept", WeightModel::kWc, 5);
   EXPECT_TRUE(result.ok());
-  EXPECT_GT(result.counters.scoring_rounds, 0u);
+  EXPECT_GT(result.counters[static_cast<int>(TraceCounter::kScoringRounds)],
+            0u);
 }
 
 TEST(WorkbenchTest, CountersPopulated) {
   Workbench bench(TinyOptions());
   const CellResult result =
       bench.RunCell("IMM", "nethept", WeightModel::kWc, 5);
-  EXPECT_GT(result.counters.rr_sets, 0u);
+  EXPECT_GT(result.counters[static_cast<int>(TraceCounter::kRrSets)], 0u);
+}
+
+TEST(WorkbenchTest, ScoringHeuristicsReportScoringRounds) {
+  // IRIE and PageRank count their scoring sweeps only in the trace; a cell
+  // run without --trace-out still reports them.
+  Workbench bench(TinyOptions());
+  const int rounds = static_cast<int>(TraceCounter::kScoringRounds);
+  for (const char* algorithm : {"IRIE", "PageRank"}) {
+    const CellResult result =
+        bench.RunCell(algorithm, "nethept", WeightModel::kWc, 5);
+    EXPECT_TRUE(result.ok()) << algorithm;
+    EXPECT_GT(result.counters[rounds], 0u) << algorithm;
+  }
 }
 
 TEST(WorkbenchTest, StatusNames) {

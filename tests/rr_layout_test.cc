@@ -1,9 +1,9 @@
 // Differential coverage for the flat-arena RR corpus: the CSR layout must
 // be observationally identical to the vector-of-vectors baseline it
 // replaced (bench/legacy_rr_corpus.h) — same sets for the same seeds, same
-// greedy max-cover seeds and covered fractions (which also pins the exact
-// degree-bucket variant to the lazy heap's tie-breaking), and the same
-// TruncateTo semantics across parallel batch boundaries.
+// greedy max-cover seeds and covered fractions (which pins the degree-bucket
+// cover to the legacy lazy heap's tie-breaking), and the same TruncateTo
+// semantics across parallel batch boundaries.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -72,11 +72,10 @@ TEST(RrLayoutTest, GreedyMaxCoverMatchesLegacyAcrossK) {
   }
 }
 
-TEST(RrLayoutTest, DegreeBucketVariantMatchesLegacyHeapOnLargeCorpus) {
-  // 6000 sets crosses the internal heap -> degree-bucket switch; the
-  // legacy baseline always uses the lazy heap, so equality here pins the
-  // bucket variant's (max degree, max node id) tie-breaking exactly. Tiny
-  // node count + many sets maximizes degree ties.
+TEST(RrLayoutTest, GreedyMaxCoverMatchesLegacyOnTieHeavyCorpus) {
+  // The legacy baseline covers with a lazy max-heap, so equality here pins
+  // the bucket cover's (max degree, max node id) tie-breaking exactly on
+  // a large corpus. Tiny node count + many sets maximizes degree ties.
   constexpr NodeId kNodes = 40;
   constexpr uint64_t kSets = 6000;
   RrCollection flat(kNodes);
@@ -224,8 +223,7 @@ TEST(RrLayoutTest, PrefixLimitZeroDegradesToPadOrder) {
 TEST(RrLayoutTest, PrefixLimitedCoverEdgeCasesMatchAcrossEngines) {
   // Alternating {10} / {11} singleton sets: both nodes tie on degree in
   // every even-sized prefix, so the first pick exercises the (max degree,
-  // largest node id) tie-break identically on the lazy-heap path (small
-  // limit) and the degree-bucket path (limit >= the 4096-set threshold);
+  // largest node id) tie-break under a short and a full-corpus prefix;
   // k = 5 > 2 live nodes exercises the pad tail under a prefix limit.
   constexpr NodeId kNodes = 16;
   RrCollection c(kNodes);

@@ -139,8 +139,9 @@ TEST(RrCollectionTest, FillsUpToKWhenEverythingCovered) {
   EXPECT_EQ(unique.size(), 3u);
 }
 
-TEST(RrCollectionTest, LazyHeapHandlesInterleavedDegrees) {
-  // Regression-style check: overlapping sets force stale heap entries.
+TEST(RrCollectionTest, CoverHandlesInterleavedDegrees) {
+  // Regression-style check: overlapping sets force degree decrements that
+  // sink nodes into lower buckets between picks.
   RrCollection collection(4);
   collection.Add({0, 1});
   collection.Add({0, 1});

@@ -203,7 +203,7 @@ Graph DeterminismGraph() {
 // One driver-shaped run: selection (the algorithm's own spans) plus the
 // decoupled MC evaluation, everything recorded in a fresh trace.
 std::string RunTraced(const GraphView& graph, const char* algorithm,
-                      uint32_t threads) {
+                      uint32_t threads, McEngine mc_engine = McEngine::kAuto) {
   Trace trace;
   std::unique_ptr<ImAlgorithm> instance = MakeAlgorithm(algorithm);
   SelectionInput input;
@@ -218,6 +218,7 @@ std::string RunTraced(const GraphView& graph, const char* algorithm,
 
   SpreadOptions eval;
   eval.simulations = 500;
+  eval.engine = mc_engine;
   eval.seed = 23;
   eval.threads = threads;
   eval.trace = &trace;
@@ -240,7 +241,8 @@ TEST(TraceDeterminismTest, ImmPhaseBreakdownIdenticalAcrossThreadCounts) {
 
 TEST(TraceDeterminismTest, ImmOnCompactGraphIdenticalAcrossThreadCounts) {
   // On the mmap'd backend the trace also counts decoded neighbor blocks;
-  // the engine adds them for the merged prefix only, at every lane count.
+  // the RR engine and both MC engines add them for the kept prefix only,
+  // at every lane count.
   const std::string path = ::testing::TempDir() + "/trace_determinism.imgrf";
   std::string error;
   ASSERT_TRUE(
@@ -249,13 +251,25 @@ TEST(TraceDeterminismTest, ImmOnCompactGraphIdenticalAcrossThreadCounts) {
   CompactGraph compact;
   ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
       << error;
-  const std::string sequential = RunTraced(compact, "IMM", 1);
-  EXPECT_EQ(RunTraced(compact, "IMM", 2), sequential);
-  EXPECT_EQ(RunTraced(compact, "IMM", 8), sequential);
   const std::string key = "\"neighbor_blocks_decoded\": ";
-  const size_t at = sequential.find(key);
-  ASSERT_NE(at, std::string::npos);
-  EXPECT_GT(std::stoull(sequential.substr(at + key.size())), 0u);
+  for (const McEngine engine : {McEngine::kFused64, McEngine::kScalar}) {
+    SCOPED_TRACE(McEngineName(engine));
+    const std::string sequential = RunTraced(compact, "IMM", 1, engine);
+    EXPECT_EQ(RunTraced(compact, "IMM", 2, engine), sequential);
+    EXPECT_EQ(RunTraced(compact, "IMM", 8, engine), sequential);
+    const size_t at = sequential.find(key);
+    ASSERT_NE(at, std::string::npos);
+    EXPECT_GT(std::stoull(sequential.substr(at + key.size())), 0u);
+    // The evaluate phase (a root span, one line of "phases") decodes
+    // blocks of its own.
+    const size_t evaluate = sequential.find("{\"name\": \"evaluate\"");
+    ASSERT_NE(evaluate, std::string::npos);
+    const std::string line = sequential.substr(
+        evaluate, sequential.find('\n', evaluate) - evaluate);
+    const size_t own = line.find(key);
+    ASSERT_NE(own, std::string::npos) << line;
+    EXPECT_GT(std::stoull(line.substr(own + key.size())), 0u) << line;
+  }
   std::remove(path.c_str());
 }
 
@@ -268,20 +282,18 @@ TEST(TraceDeterminismTest, TimPlusPhaseBreakdownIdenticalAcrossThreadCounts) {
 }
 
 TEST(TraceDeterminismTest, CountersSumConsistentlyWithReportedTotals) {
-  // Trace totals must line up with the legacy Counters the drivers print.
+  // The trace is the only record of a run's work counts, so its totals
+  // must be consistent with its own span breakdown.
   const Graph graph = DeterminismGraph();
   Trace trace;
-  Counters counters;
   std::unique_ptr<ImAlgorithm> instance = MakeAlgorithm("IMM");
   SelectionInput input;
   input.graph = &graph;
   input.diffusion = DiffusionKind::kIndependentCascade;
   input.k = 5;
   input.seed = 11;
-  input.counters = &counters;
   input.trace = &trace;
   (void)instance->Select(input);
-  EXPECT_EQ(trace.Total(TraceCounter::kRrSets), counters.rr_sets);
   EXPECT_GT(trace.Total(TraceCounter::kRrSets), 0u);
   EXPECT_GT(trace.Total(TraceCounter::kRrEdgesExamined), 0u);
   // Root spans partition the totals: their counter sums must equal the

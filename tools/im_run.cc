@@ -167,9 +167,8 @@ int main(int argc, char** argv) {
   }
 
   Trace trace;
-  Trace* const tr =
-      (*trace_table || !trace_out->empty()) ? &trace : nullptr;
-  if (tr != nullptr) tr->Annotate("mc_engine", McEngineName(mc_engine));
+  Trace* const tr = &trace;
+  tr->Annotate("mc_engine", McEngineName(mc_engine));
 
   // Build the graph: the mmap'd compact backend when --graph-file opens
   // cleanly, the heap CSR otherwise.
@@ -373,7 +372,6 @@ int main(int argc, char** argv) {
   if (std::isnan(param)) param = spec->OptimalParameterFor(model);
   std::unique_ptr<ImAlgorithm> instance = spec->make(param);
 
-  Counters counters;
   SelectionInput input;
   if (use_compact) {
     input.compact = &compact;
@@ -383,7 +381,6 @@ int main(int argc, char** argv) {
   input.diffusion = kind;
   input.k = static_cast<uint32_t>(*k);
   input.seed = static_cast<uint64_t>(*seed);
-  input.counters = &counters;
   input.threads = static_cast<uint32_t>(*threads);
   input.trace = tr;
 
@@ -403,6 +400,7 @@ int main(int argc, char** argv) {
   const SelectionResult result = instance->Select(input);
   const double select_secs = timer.Seconds();
   const uint64_t peak = PeakHeapBytes() - heap_before;
+  const TraceCounterArray select_totals = trace.totals();
 
   const GraphView view = input.View();
   timer.Restart();
@@ -485,14 +483,13 @@ int main(int argc, char** argv) {
       }
     }
   }
-  std::printf(
-      "counters: %llu spread evaluations, %llu simulations, %llu RR sets, "
-      "%llu snapshots, %llu scoring rounds\n",
-      static_cast<unsigned long long>(counters.spread_evaluations),
-      static_cast<unsigned long long>(counters.simulations),
-      static_cast<unsigned long long>(counters.rr_sets),
-      static_cast<unsigned long long>(counters.snapshots),
-      static_cast<unsigned long long>(counters.scoring_rounds));
+  std::printf("counters:");
+  for (int c = 0; c < kNumTraceCounters; ++c) {
+    if (select_totals[c] == 0) continue;
+    std::printf(" %s=%llu", TraceCounterName(static_cast<TraceCounter>(c)),
+                static_cast<unsigned long long>(select_totals[c]));
+  }
+  std::printf("\n");
   if (*trace_table) trace.PrintTable(stdout);
   if (!trace_out->empty()) {
     if (!trace.WriteJsonFile(*trace_out)) {
