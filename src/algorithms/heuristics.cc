@@ -67,6 +67,8 @@ SelectionResult DegreeDiscount::Select(const SelectionInput& input) {
       discounted[u] = d - 2 * t - (d - t) * t * options_.p;
     }
   }
+  TraceAdd(input.trace, TraceCounter::kNeighborBlocksDecoded,
+           scratch.blocks_decoded);
   result.stop_reason = GuardReason(input.guard);
   return result;
 }
@@ -104,6 +106,8 @@ SelectionResult PageRankHeuristic::Select(const SelectionInput& input) {
     for (NodeId v = 0; v < n; ++v) next[v] += dangling_share;
     rank.swap(next);
   }
+  TraceAdd(input.trace, TraceCounter::kNeighborBlocksDecoded,
+           scratch.blocks_decoded);
   score_span.Close();
   SelectionResult result;
   {

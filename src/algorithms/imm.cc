@@ -83,7 +83,11 @@ SelectionResult Imm::Select(const SelectionInput& input) {
             static_cast<uint64_t>(std::ceil(lambda_prime / x));
         generate_until(theta_i);
         double fraction = 0;
-        sets.GreedyMaxCover(k, &fraction);
+        {
+          // A child span, so that "bound"'s self time is sampling only.
+          Span cover_span(input.trace, "cover");
+          sets.GreedyMaxCover(k, &fraction);
+        }
         if (n * fraction >= (1.0 + eps_prime) * x) {
           lower_bound = n * fraction / (1.0 + eps_prime);
           break;

@@ -7,17 +7,22 @@ namespace imbench {
 namespace {
 
 constexpr uint32_t kFixedOne = 1u << kCoinBits;
+constexpr uint32_t kLtOne = 1u << kLtBits;
 
 // Weller-style multiplier for decorrelating block indices before SplitMix64.
 constexpr uint64_t kBlockMix = 0xd1342543de82ef95ULL;
 
-uint32_t FixedPointProb(double p) {
+// p clamped to [0, 1] and rounded to a multiple of 1/one (one = 2^bits).
+uint32_t FixedPoint(double p, uint32_t one) {
   if (!(p > 0.0)) return 0;
-  if (p >= 1.0) return kFixedOne;
-  const long fix = std::lround(p * static_cast<double>(kFixedOne));
-  if (fix <= 0) return 0;
-  if (fix >= static_cast<long>(kFixedOne)) return kFixedOne;
-  return static_cast<uint32_t>(fix);
+  if (p >= 1.0) return one;
+  return static_cast<uint32_t>(std::lround(p * static_cast<double>(one)));
+}
+
+// An LT threshold θ in [0, 1), floored to kLtBits digits (exact: the
+// product only shifts the exponent).
+uint32_t FixedPointThreshold(double theta) {
+  return static_cast<uint32_t>(theta * static_cast<double>(kLtOne));
 }
 
 // Coin-mask stream for one (block_seed, node) pair: a counter-based
@@ -71,10 +76,11 @@ uint64_t CoinMask(uint32_t p_fix, CoinStream& stream) {
   return mask;
 }
 
-std::vector<uint32_t> FixedPointProbs(std::span<const double> weights) {
+std::vector<uint32_t> FixedPoints(std::span<const double> weights,
+                                  uint32_t one) {
   std::vector<uint32_t> fixed(weights.size());
   for (size_t i = 0; i < weights.size(); ++i) {
-    fixed[i] = FixedPointProb(weights[i]);
+    fixed[i] = FixedPoint(weights[i], one);
   }
   return fixed;
 }
@@ -87,11 +93,9 @@ uint64_t LaneMask(uint32_t lanes) {
 
 FusedCascadeContext::FusedCascadeContext(const GraphView& graph)
     : graph_(graph),
-      p_fix_(FixedPointProbs(graph.weights())),
       active_word_(graph.num_nodes(), 0),
       pending_word_(graph.num_nodes(), 0),
       mask_stamp_(graph.num_nodes(), 0),
-      edge_mask_(graph.num_edges(), 0),
       lt_stamp_(graph.num_nodes(), 0),
       lt_slot_(graph.num_nodes(), 0) {}
 
@@ -111,8 +115,15 @@ void FusedCascadeContext::RunBlock(DiffusionKind kind,
   const uint64_t block_seed = BlockSeed(seed, block);
   const uint64_t lane_mask = LaneMask(lanes);
   if (kind == DiffusionKind::kIndependentCascade) {
+    if (p_fix_.size() != graph_.num_edges()) {
+      p_fix_ = FixedPoints(graph_.weights(), kFixedOne);
+      edge_mask_.assign(graph_.num_edges(), 0);
+    }
     RunBlockIc(seeds, block_seed, lane_mask);
   } else {
+    if (lt_fix_.size() != graph_.num_edges()) {
+      lt_fix_ = FixedPoints(graph_.weights(), kLtOne);
+    }
     RunBlockLt(seeds, block_seed, lane_mask);
   }
   // The popcount sweep doubles as the O(touched) cleanup that restores the
@@ -168,19 +179,20 @@ void FusedCascadeContext::RunBlockIc(std::span<const NodeId> seeds,
   }
 }
 
-const double* FusedCascadeContext::LtThresholds(NodeId v,
-                                                uint64_t block_seed) {
+FusedCascadeContext::LtSlot& FusedCascadeContext::LtSlotFor(
+    NodeId v, uint64_t block_seed) {
   if (lt_stamp_[v] != epoch_) {
     lt_stamp_[v] = epoch_;
     lt_slot_[v] = lt_slots_used_++;
-    if (lt_thresh_.size() < static_cast<size_t>(lt_slots_used_) * 64) {
-      lt_thresh_.resize(static_cast<size_t>(lt_slots_used_) * 64);
-    }
-    double* thresholds = &lt_thresh_[static_cast<size_t>(lt_slot_[v]) * 64];
+    if (lt_slots_.size() < lt_slots_used_) lt_slots_.resize(lt_slots_used_);
+    LtSlot& slot = lt_slots_[lt_slot_[v]];
     Rng rng = Rng::ForStream(block_seed, v);
-    for (int j = 0; j < 64; ++j) thresholds[j] = rng.NextDouble();
+    for (uint32_t j = 0; j < kFusedLanes; ++j) {
+      slot.threshold[j] = FixedPointThreshold(rng.NextDouble());
+      slot.sum[j] = 0;
+    }
   }
-  return &lt_thresh_[static_cast<size_t>(lt_slot_[v]) * 64];
+  return lt_slots_[lt_slot_[v]];
 }
 
 void FusedCascadeContext::RunBlockLt(std::span<const NodeId> seeds,
@@ -192,27 +204,23 @@ void FusedCascadeContext::RunBlockLt(std::span<const NodeId> seeds,
     const NodeId u = queue_[head];
     const uint64_t frontier = pending_word_[u];
     pending_word_[u] = 0;
-    for (const NodeId v : graph_.OutTargets(u, out_scratch_)) {
+    const std::span<const NodeId> targets = graph_.OutTargets(u, out_scratch_);
+    if (targets.empty()) continue;
+    const uint32_t* weights = &lt_fix_[graph_.OutEdgeBase(u)];
+    for (size_t i = 0; i < targets.size(); ++i) {
+      const NodeId v = targets[i];
       uint64_t contact = frontier & ~active_word_[v];
       if (contact == 0) continue;
-      const double* thresholds = LtThresholds(v, block_seed);
-      const auto [sources, in_weights] = graph_.In(v, in_scratch_);
+      // Each of u's newly active lanes adds W(u,v) to v's sum exactly once
+      // (u enters the frontier once per lane), and only while v is
+      // inactive in that lane.
+      LtSlot& slot = LtSlotFor(v, block_seed);
       uint64_t newly = 0;
-      uint64_t remaining = contact;
-      while (remaining != 0) {
-        const int j = std::countr_zero(remaining);
-        remaining &= remaining - 1;
-        // The sum is recomputed over the full in-edge list in a fixed
-        // order, so the comparison is independent of activation order
-        // (floating-point sums are monotone under inserting nonnegative
-        // terms) and replays exactly.
-        double sum = 0;
-        for (size_t e = 0; e < sources.size(); ++e) {
-          if (((active_word_[sources[e]] >> j) & 1) != 0) {
-            sum += in_weights[e];
-          }
-        }
-        if (sum >= thresholds[j]) newly |= uint64_t{1} << j;
+      while (contact != 0) {
+        const int j = std::countr_zero(contact);
+        contact &= contact - 1;
+        slot.sum[j] += weights[i];
+        if (slot.sum[j] >= slot.threshold[j]) newly |= uint64_t{1} << j;
       }
       if (newly != 0) Activate(v, newly);
     }
@@ -228,7 +236,6 @@ NodeId FusedScalarReplay(const GraphView& graph, DiffusionKind kind,
   std::vector<uint8_t> active(graph.num_nodes(), 0);
   std::vector<NodeId> queue;
   AdjScratch out_scratch;
-  AdjScratch in_scratch;
   for (const NodeId s : seeds) {
     if (active[s] == 0) {
       active[s] = 1;
@@ -243,7 +250,8 @@ NodeId FusedScalarReplay(const GraphView& graph, DiffusionKind kind,
       if (targets.empty()) continue;
       CoinStream stream(block_seed, u);
       for (size_t i = 0; i < targets.size(); ++i) {
-        const uint64_t mask = CoinMask(FixedPointProb(weights[i]), stream);
+        const uint64_t mask =
+            CoinMask(FixedPoint(weights[i], kFixedOne), stream);
         const NodeId v = targets[i];
         if (((mask >> lane) & 1) != 0 && active[v] == 0) {
           active[v] = 1;
@@ -253,25 +261,24 @@ NodeId FusedScalarReplay(const GraphView& graph, DiffusionKind kind,
       }
     }
   } else {
-    std::vector<double> threshold(graph.num_nodes(), 0);
+    std::vector<uint32_t> threshold(graph.num_nodes(), 0);
+    std::vector<uint32_t> sum(graph.num_nodes(), 0);
     std::vector<uint8_t> threshold_done(graph.num_nodes(), 0);
     for (size_t head = 0; head < queue.size(); ++head) {
       const NodeId u = queue[head];
-      for (const NodeId v : graph.OutTargets(u, out_scratch)) {
+      const auto [targets, weights] = graph.Out(u, out_scratch);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        const NodeId v = targets[i];
         if (active[v] != 0) continue;
         if (threshold_done[v] == 0) {
           threshold_done[v] = 1;
           Rng rng = Rng::ForStream(block_seed, v);
           double draw = 0;
           for (int j = 0; j <= lane; ++j) draw = rng.NextDouble();
-          threshold[v] = draw;
+          threshold[v] = FixedPointThreshold(draw);
         }
-        const auto [sources, in_weights] = graph.In(v, in_scratch);
-        double sum = 0;
-        for (size_t e = 0; e < sources.size(); ++e) {
-          if (active[sources[e]] != 0) sum += in_weights[e];
-        }
-        if (sum >= threshold[v]) {
+        sum[v] += FixedPoint(weights[i], kLtOne);
+        if (sum[v] >= threshold[v]) {
           active[v] = 1;
           queue.push_back(v);
           ++count;

@@ -20,10 +20,14 @@
 //     over blocks yields bit-identical results, and FusedScalarReplay can
 //     re-derive any single simulation's cascade exactly.
 //   * LT: node v's 64 thresholds are drawn from ForStream(block_seed, v)
-//     on first contact. Activation recomputes the active in-weight sum in
-//     in-edge order on every contact (instead of accumulating), which
-//     makes the floating-point comparison independent of activation order:
-//     fused and replayed cascades agree bit for bit.
+//     on first contact and, like the edge weights, held in kLtBits fixed
+//     point. Each (touched node, lane) keeps an integer sum of the weights
+//     of its active in-edges: a node u walks its out-edges once per
+//     frontier, adds W(u,v) to every contacted lane of v and activates the
+//     lanes whose sum reaches their threshold. Integer addition does not
+//     depend on order, so a lane's activation is independent of the order
+//     in which its in-neighbors fire: fused and replayed cascades agree bit
+//     for bit, and a contact costs one add per live lane.
 #ifndef IMBENCH_DIFFUSION_FUSED_CASCADE_H_
 #define IMBENCH_DIFFUSION_FUSED_CASCADE_H_
 
@@ -49,6 +53,12 @@ inline constexpr uint32_t kFusedLanes = 64;
 // simulations.
 inline constexpr int kCoinBits = 16;
 
+// LT edge weights (clamped to [0, 1]) are rounded and thresholds θ in
+// [0, 1) floored to kLtBits binary digits. A lane's sum only grows while
+// the lane is inactive, i.e. while sum < threshold < 2^kLtBits, and one
+// weight is at most 2^kLtBits, so a uint32_t sum never overflows.
+inline constexpr int kLtBits = 31;
+
 // Reusable scratch for fused forward simulation. One context per thread;
 // lane words are swept back to zero in O(touched) at block end, so
 // repeated blocks never pay an O(n) clear.
@@ -70,8 +80,7 @@ class FusedCascadeContext {
   // the heap backend). The parallel estimator takes it after every block
   // so its trace counts the kept prefix only.
   uint64_t TakeBlocksDecoded() {
-    return std::exchange(out_scratch_.blocks_decoded, 0) +
-           std::exchange(in_scratch_.blocks_decoded, 0);
+    return std::exchange(out_scratch_.blocks_decoded, 0);
   }
 
  private:
@@ -80,14 +89,21 @@ class FusedCascadeContext {
   void RunBlockLt(std::span<const NodeId> seeds, uint64_t block_seed,
                   uint64_t lane_mask);
   void Activate(NodeId v, uint64_t bits);
-  const double* LtThresholds(NodeId v, uint64_t block_seed);
+
+  // One touched node's LT state for the block, lane by lane (512 bytes).
+  struct LtSlot {
+    uint32_t threshold[kFusedLanes];
+    uint32_t sum[kFusedLanes];
+  };
+  LtSlot& LtSlotFor(NodeId v, uint64_t block_seed);
 
   GraphView graph_;
-  std::vector<uint32_t> p_fix_;  // per forward edge id, kCoinBits fixed point
-  // Decode buffers for the compact backend. LT holds u's out-adjacency
-  // while scanning each contacted v's in-adjacency, hence two scratches.
-  AdjScratch out_scratch_;
-  AdjScratch in_scratch_;
+  // Per forward edge id, built on the first block of the model that reads
+  // it, so a context holds only the arrays of the models it runs.
+  std::vector<uint32_t> p_fix_;       // IC, kCoinBits fixed point
+  std::vector<uint64_t> edge_mask_;   // IC coin masks
+  std::vector<uint32_t> lt_fix_;      // LT, kLtBits fixed point
+  AdjScratch out_scratch_;            // compact-backend decode buffer
 
   uint32_t epoch_ = 0;
   // Invariant between blocks: every word is zero (restored by an
@@ -96,10 +112,9 @@ class FusedCascadeContext {
   std::vector<uint64_t> active_word_;
   std::vector<uint64_t> pending_word_;
   std::vector<uint32_t> mask_stamp_;  // u's out-edge masks valid this epoch
-  std::vector<uint64_t> edge_mask_;   // per forward edge id
-  std::vector<uint32_t> lt_stamp_;    // v's thresholds valid this epoch
+  std::vector<uint32_t> lt_stamp_;    // v's LT slot valid this epoch
   std::vector<uint32_t> lt_slot_;
-  std::vector<double> lt_thresh_;     // 64 per slot, touched nodes only
+  std::vector<LtSlot> lt_slots_;      // touched nodes only
   uint32_t lt_slots_used_ = 0;
   std::vector<NodeId> queue_;
   std::vector<NodeId> touched_;

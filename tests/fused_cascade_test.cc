@@ -5,7 +5,7 @@
 // the exact coin masks / thresholds of one fused lane. Every lane of every
 // block must match it bit for bit, across all six weight models — that
 // pins the AND/OR coin-mask ladder, the block-seed derivation, and the
-// LT threshold/recompute scheme all at once.
+// LT fixed-point threshold/accumulator scheme all at once.
 #include "diffusion/fused_cascade.h"
 
 #include <cstdint>
@@ -41,6 +41,69 @@ Graph DiverseGraph(NodeId n = 18) {
     }
   }
   return Graph::FromArcs(n, arcs);
+}
+
+// A skewed LT fixture. Node 0 feeds most of kFeeders nodes, which form a
+// chain and all point at one hub, so a hub lane's sum takes up to
+// kFeeders adds. Node `heavy` gets in-weights 0.49, 0.49 and 1.0 (from the
+// hub) after the model's own, an in-sum of 1.98 > 1: in a lane whose
+// threshold is above 0.98, the hub's 2^kLtBits lands on a sum of
+// 0.98 * 2^kLtBits, near the 2^32 bound of the no-overflow argument.
+constexpr NodeId kFeeders = 300;
+constexpr NodeId kHub = kFeeders + 1;
+constexpr NodeId kHeavy = kFeeders + 2;
+
+Graph SkewedLtGraph(WeightModel model) {
+  const NodeId n = kFeeders + 8;
+  std::vector<Arc> arcs;
+  for (NodeId i = 1; i <= kFeeders; ++i) {
+    if (i % 4 != 0) arcs.push_back(Arc{0, i});
+    if (i < kFeeders) arcs.push_back(Arc{i, i + 1});
+    arcs.push_back(Arc{i, kHub});
+  }
+  for (const NodeId source : {NodeId{1}, NodeId{2}, kHub}) {
+    arcs.push_back(Arc{source, kHeavy});
+  }
+  arcs.push_back(Arc{kHub, 5});
+  arcs.push_back(Arc{kHub, kHeavy + 1});
+  for (NodeId i = kHeavy; i + 1 < n; ++i) arcs.push_back(Arc{i, i + 1});
+  arcs.push_back(Arc{n - 1, 0});
+  Graph graph = Graph::FromArcs(n, std::move(arcs));
+  Rng wrng(0x5eed);
+  AssignWeights(graph, model, 0.3, wrng);
+  std::vector<double> weights(graph.weights().begin(), graph.weights().end());
+  weights[graph.FindEdge(1, kHeavy)] = 0.49;
+  weights[graph.FindEdge(2, kHeavy)] = 0.49;
+  weights[graph.FindEdge(kHub, kHeavy)] = 1.0;
+  graph.SetWeights(weights);
+  return graph;
+}
+
+TEST(FusedKernelTest, LtSkewedGraphMatchesScalarReplay) {
+  const std::vector<std::vector<NodeId>> seed_sets = {
+      {0}, {kFeeders / 2}, {0, kHeavy}};
+  for (const WeightModel model : {WeightModel::kLtUniform,
+                                  WeightModel::kLtRandom,
+                                  WeightModel::kLtParallel}) {
+    const Graph graph = SkewedLtGraph(model);
+    ASSERT_GT(graph.InWeightSum(kHeavy), 1.0);
+    FusedCascadeContext context(graph);
+    NodeId gamma[kFusedLanes];
+    for (const auto& seeds : seed_sets) {
+      for (const uint64_t block : {uint64_t{0}, uint64_t{5}}) {
+        context.RunBlock(DiffusionKind::kLinearThreshold, seeds, 42, block,
+                         kFusedLanes, gamma);
+        for (uint32_t lane = 0; lane < kFusedLanes; ++lane) {
+          const NodeId replay =
+              FusedScalarReplay(graph, DiffusionKind::kLinearThreshold,
+                                seeds, 42, block * 64 + lane);
+          ASSERT_EQ(gamma[lane], replay)
+              << "model=" << WeightModelName(model) << " seeds="
+              << seeds.size() << " block=" << block << " lane=" << lane;
+        }
+      }
+    }
+  }
 }
 
 const WeightModel kAllModels[] = {
@@ -89,25 +152,31 @@ TEST(FusedKernelTest, PartialLaneTailMatchesFullBlockPrefix) {
 }
 
 TEST(FusedKernelTest, EstimateBitIdenticalAcrossThreadCounts) {
-  Graph graph = DiverseGraph();
-  AssignWeightedCascade(graph);
-  const std::vector<NodeId> seeds = {0, 9};
+  for (const WeightModel model : {WeightModel::kWc, WeightModel::kLtUniform}) {
+    Graph graph = DiverseGraph();
+    Rng wrng(0x5eed);
+    AssignWeights(graph, model, 0.3, wrng);
+    const DiffusionKind kind = DiffusionKindFor(model);
+    const std::vector<NodeId> seeds = {0, 9};
 
-  SpreadOptions sequential = testutil::SpreadOpts(512, 11);
-  sequential.engine = McEngine::kFused64;
-  const SpreadEstimate base = EstimateSpread(
-      graph, DiffusionKind::kIndependentCascade, seeds, sequential);
-  EXPECT_EQ(base.simulations, 512u);
+    SpreadOptions sequential = testutil::SpreadOpts(512, 11);
+    sequential.engine = McEngine::kFused64;
+    const SpreadEstimate base =
+        EstimateSpread(graph, kind, seeds, sequential);
+    EXPECT_EQ(base.simulations, 512u);
 
-  for (const uint32_t threads : {2u, 3u, 8u}) {
-    ThreadPool pool(threads - 1);
-    SpreadOptions parallel = testutil::SpreadOpts(512, 11, threads, &pool);
-    parallel.engine = McEngine::kFused64;
-    const SpreadEstimate est = EstimateSpread(
-        graph, DiffusionKind::kIndependentCascade, seeds, parallel);
-    EXPECT_DOUBLE_EQ(est.mean, base.mean) << "threads=" << threads;
-    EXPECT_DOUBLE_EQ(est.stddev, base.stddev) << "threads=" << threads;
-    EXPECT_EQ(est.simulations, base.simulations) << "threads=" << threads;
+    for (const uint32_t threads : {2u, 3u, 8u}) {
+      ThreadPool pool(threads - 1);
+      SpreadOptions parallel = testutil::SpreadOpts(512, 11, threads, &pool);
+      parallel.engine = McEngine::kFused64;
+      const SpreadEstimate est = EstimateSpread(graph, kind, seeds, parallel);
+      EXPECT_EQ(est.mean, base.mean)
+          << WeightModelName(model) << " threads=" << threads;
+      EXPECT_EQ(est.stddev, base.stddev)
+          << WeightModelName(model) << " threads=" << threads;
+      EXPECT_EQ(est.simulations, base.simulations)
+          << WeightModelName(model) << " threads=" << threads;
+    }
   }
 }
 

@@ -1,6 +1,8 @@
 #include "algorithms/heuristics.h"
 
+#include <cstdio>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -8,6 +10,8 @@
 #include "algorithms/easyim.h"
 #include "framework/datasets.h"
 #include "framework/trace.h"
+#include "graph/compact_graph.h"
+#include "graph/graph_file.h"
 #include "graph/weights.h"
 #include "tests/test_util.h"
 
@@ -71,6 +75,42 @@ TEST(PageRankTest, ReturnsKDistinctSeeds) {
   const SelectionResult result = pr.Select(IcInput(g, 15));
   std::set<NodeId> unique(result.seeds.begin(), result.seeds.end());
   EXPECT_EQ(unique.size(), 15u);
+}
+
+TEST(HeuristicsTest, CompactGraphRunsCountDecodedBlocks) {
+  // DegreeDiscount and PageRank decode neighbor blocks on the mmap'd
+  // backend; each flushes its scratch count at its sequential end, so the
+  // trace holds the same nonzero total at every thread count.
+  Graph g = MakeDataset("nethept", DatasetScale::kTiny);
+  AssignWeightedCascade(g);
+  const std::string path = ::testing::TempDir() + "/heuristics.imgrf";
+  std::string error;
+  ASSERT_TRUE(WriteGraphFile(g, WeightModel::kWc, path, &error)) << error;
+  CompactGraph compact;
+  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
+      << error;
+  DegreeDiscount dd(DegreeDiscountOptions{0.1});
+  PageRankHeuristic pr(PageRankOptions{});
+  for (ImAlgorithm* algorithm : {static_cast<ImAlgorithm*>(&dd),
+                                 static_cast<ImAlgorithm*>(&pr)}) {
+    uint64_t decoded[2] = {};
+    std::vector<NodeId> seeds[2];
+    const uint32_t threads[2] = {1, 4};
+    for (int i = 0; i < 2; ++i) {
+      Trace trace;
+      SelectionInput input = IcInput(g, 10);
+      input.graph = nullptr;
+      input.compact = &compact;
+      input.threads = threads[i];
+      input.trace = &trace;
+      seeds[i] = algorithm->Select(input).seeds;
+      decoded[i] = trace.Total(TraceCounter::kNeighborBlocksDecoded);
+    }
+    EXPECT_GT(decoded[0], 0u) << algorithm->name();
+    EXPECT_EQ(decoded[1], decoded[0]) << algorithm->name();
+    EXPECT_EQ(seeds[1], seeds[0]) << algorithm->name();
+  }
+  std::remove(path.c_str());
 }
 
 TEST(IrieTest, PicksTheHub) {

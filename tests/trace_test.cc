@@ -186,7 +186,7 @@ TEST(TraceDeathTest, ToJsonWithOpenSpansChecksLoudly) {
 
 // --- Determinism: the phase breakdown may not depend on the thread count.
 
-Graph DeterminismGraph() {
+Graph DeterminismGraph(WeightModel model = WeightModel::kWc) {
   const NodeId n = 300;
   std::vector<Arc> arcs;
   for (NodeId i = 0; i < n; ++i) {
@@ -196,20 +196,22 @@ Graph DeterminismGraph() {
   }
   Graph graph = Graph::FromArcs(n, std::move(arcs));
   Rng rng(0x7ace);
-  AssignWeights(graph, WeightModel::kWc, 0.1, rng);
+  AssignWeights(graph, model, 0.1, rng);
   return graph;
 }
 
 // One driver-shaped run: selection (the algorithm's own spans) plus the
 // decoupled MC evaluation, everything recorded in a fresh trace.
-std::string RunTraced(const GraphView& graph, const char* algorithm,
-                      uint32_t threads, McEngine mc_engine = McEngine::kAuto) {
+std::string RunTraced(
+    const GraphView& graph, const char* algorithm, uint32_t threads,
+    McEngine mc_engine = McEngine::kAuto,
+    DiffusionKind kind = DiffusionKind::kIndependentCascade) {
   Trace trace;
   std::unique_ptr<ImAlgorithm> instance = MakeAlgorithm(algorithm);
   SelectionInput input;
   input.graph = graph.memory_graph();
   input.compact = graph.compact_graph();
-  input.diffusion = DiffusionKind::kIndependentCascade;
+  input.diffusion = kind;
   input.k = 5;
   input.seed = 11;
   input.threads = threads;
@@ -235,6 +237,7 @@ TEST(TraceDeterminismTest, ImmPhaseBreakdownIdenticalAcrossThreadCounts) {
   EXPECT_EQ(RunTraced(graph, "IMM", 8), sequential);
   // The breakdown actually contains work, not just zeros.
   EXPECT_NE(sequential.find("\"sample\""), std::string::npos);
+  EXPECT_NE(sequential.find("\"cover\""), std::string::npos);
   EXPECT_NE(sequential.find("\"select\""), std::string::npos);
   EXPECT_NE(sequential.find("\"evaluate\""), std::string::npos);
 }
@@ -242,35 +245,50 @@ TEST(TraceDeterminismTest, ImmPhaseBreakdownIdenticalAcrossThreadCounts) {
 TEST(TraceDeterminismTest, ImmOnCompactGraphIdenticalAcrossThreadCounts) {
   // On the mmap'd backend the trace also counts decoded neighbor blocks;
   // the RR engine and both MC engines add them for the kept prefix only,
-  // at every lane count.
-  const std::string path = ::testing::TempDir() + "/trace_determinism.imgrf";
-  std::string error;
-  ASSERT_TRUE(
-      WriteGraphFile(DeterminismGraph(), WeightModel::kWc, path, &error))
-      << error;
-  CompactGraph compact;
-  ASSERT_EQ(CompactGraph::Open(path, &compact, &error), GraphFileStatus::kOk)
-      << error;
+  // at every lane count. The fused LT kernel reads out-lists only, so its
+  // evaluate count is out-list decodes.
+  struct Case {
+    WeightModel model;
+    DiffusionKind kind;
+  };
   const std::string key = "\"neighbor_blocks_decoded\": ";
-  for (const McEngine engine : {McEngine::kFused64, McEngine::kScalar}) {
-    SCOPED_TRACE(McEngineName(engine));
-    const std::string sequential = RunTraced(compact, "IMM", 1, engine);
-    EXPECT_EQ(RunTraced(compact, "IMM", 2, engine), sequential);
-    EXPECT_EQ(RunTraced(compact, "IMM", 8, engine), sequential);
-    const size_t at = sequential.find(key);
-    ASSERT_NE(at, std::string::npos);
-    EXPECT_GT(std::stoull(sequential.substr(at + key.size())), 0u);
-    // The evaluate phase (a root span, one line of "phases") decodes
-    // blocks of its own.
-    const size_t evaluate = sequential.find("{\"name\": \"evaluate\"");
-    ASSERT_NE(evaluate, std::string::npos);
-    const std::string line = sequential.substr(
-        evaluate, sequential.find('\n', evaluate) - evaluate);
-    const size_t own = line.find(key);
-    ASSERT_NE(own, std::string::npos) << line;
-    EXPECT_GT(std::stoull(line.substr(own + key.size())), 0u) << line;
+  const Case cases[] = {
+      {WeightModel::kWc, DiffusionKind::kIndependentCascade},
+      {WeightModel::kLtUniform, DiffusionKind::kLinearThreshold},
+  };
+  for (const Case c : cases) {
+    SCOPED_TRACE(DiffusionKindName(c.kind));
+    const std::string path =
+        ::testing::TempDir() + "/trace_determinism.imgrf";
+    std::string error;
+    ASSERT_TRUE(
+        WriteGraphFile(DeterminismGraph(c.model), c.model, path, &error))
+        << error;
+    CompactGraph compact;
+    ASSERT_EQ(CompactGraph::Open(path, &compact, &error),
+              GraphFileStatus::kOk)
+        << error;
+    for (const McEngine engine : {McEngine::kFused64, McEngine::kScalar}) {
+      SCOPED_TRACE(McEngineName(engine));
+      const std::string sequential =
+          RunTraced(compact, "IMM", 1, engine, c.kind);
+      EXPECT_EQ(RunTraced(compact, "IMM", 2, engine, c.kind), sequential);
+      EXPECT_EQ(RunTraced(compact, "IMM", 8, engine, c.kind), sequential);
+      const size_t at = sequential.find(key);
+      ASSERT_NE(at, std::string::npos);
+      EXPECT_GT(std::stoull(sequential.substr(at + key.size())), 0u);
+      // The evaluate phase (a root span, one line of "phases") decodes
+      // blocks of its own.
+      const size_t evaluate = sequential.find("{\"name\": \"evaluate\"");
+      ASSERT_NE(evaluate, std::string::npos);
+      const std::string line = sequential.substr(
+          evaluate, sequential.find('\n', evaluate) - evaluate);
+      const size_t own = line.find(key);
+      ASSERT_NE(own, std::string::npos) << line;
+      EXPECT_GT(std::stoull(line.substr(own + key.size())), 0u) << line;
+    }
+    std::remove(path.c_str());
   }
-  std::remove(path.c_str());
 }
 
 TEST(TraceDeterminismTest, TimPlusPhaseBreakdownIdenticalAcrossThreadCounts) {
